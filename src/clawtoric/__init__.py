@@ -40,7 +40,9 @@ from .ideal import (
     build_generators,
     complementary_count,
     complementary_generators,
+    fixed_leaf_count,
     fixed_positions,
+    generator_count,
     is_fully_complementary,
     lift_fixed_leaf,
 )
@@ -89,7 +91,9 @@ __all__ = [
     "exact_rank",
     "expected_row_count",
     "extract_submatrix",
+    "fixed_leaf_count",
     "fixed_positions",
+    "generator_count",
     "in_ideal",
     "in_kernel",
     "is_fully_complementary",

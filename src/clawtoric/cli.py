@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .core import MAX_LEAVES, Binomial, Monomial, Word, in_kernel
 from .groebner import BinomialReducer, GroebnerCertificate, verify_groebner
-from .ideal import GeneratorSet, build_generators
+from .ideal import Rows, build_generators
 from .lattice import (
     LatticeBasis,
     build_lattice_basis,
@@ -70,15 +70,6 @@ def binomial_from_dict(data: dict) -> Binomial:
     return Binomial(plus, minus)
 
 
-def generators_to_dict(gens: GeneratorSet) -> dict:
-    return {
-        "n": gens.n,
-        "total": len(gens),
-        "fixed_leaf": [binomial_to_dict(b) for b in sorted_group(gens.fixed_leaf)],
-        "complementary": [binomial_to_dict(b) for b in sorted_group(gens.complementary)],
-    }
-
-
 def sorted_group(group: Iterable[Binomial]) -> list[Binomial]:
     return sorted(group, key=lambda b: (b.plus.key, b.minus.key))
 
@@ -97,8 +88,12 @@ def lattice_to_csv(basis: LatticeBasis) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cas_script(generators: Sequence[Binomial], n: int, name: str) -> str:
-    """Singular-style script declaring the coordinate ring and the ideal."""
+def cas_script(generators: Sequence[Binomial | str], n: int, name: str) -> str:
+    """Singular-style script declaring the coordinate ring and the ideal.
+
+    Each generator is written as its string form, so pre-rendered binomial
+    texts serve as well as ``Binomial`` objects.
+    """
     variables = ", ".join(f"q_{v:0{n}b}" for v in range(1 << n))
     lines = [
         f"// {name}, n = {n}: {len(generators)} generators over {1 << n} coordinates",
@@ -178,29 +173,65 @@ def _render_lattice(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The generating set is rendered straight from the lead-sorted rows of
+# GeneratorSet through a table of the 2^n word strings; the output bytes are
+# those of str(Binomial) and of json.dumps(..., indent=2) on binomial_to_dict.
+
+
+def _word_strings(n: int) -> list[str]:
+    return [format(v, f"0{n}b") for v in range(1 << n)]
+
+
+def _binomial_texts(words: list[str], rows: Rows) -> list[str]:
+    q = ["q_" + w for w in words]
+    return [f"{q[a]}*{q[b]} - {q[c]}*{q[d]}" for a, b, c, d in rows.tolist()]
+
+
+def _json_group(n: int, words: list[str], rows: Rows) -> str:
+    if not len(rows):
+        return "[]"
+    item = (
+        "    {\n"
+        f'      "n": {n},\n'
+        '      "plus": [\n        "%s",\n        "%s"\n      ],\n'
+        '      "minus": [\n        "%s",\n        "%s"\n      ]\n'
+        "    }"
+    )
+    body = ",\n".join(
+        item % (words[a], words[b], words[c], words[d]) for a, b, c, d in rows.tolist()
+    )
+    return "[\n" + body + "\n  ]"
+
+
 def _render_ideal(config: RunConfig) -> str:
     gens = build_generators(config.n, cap=config.cap)
-    fixed = sorted_group(gens.fixed_leaf)
-    comp = sorted_group(gens.complementary)
+    n, words = gens.n, _word_strings(gens.n)
+    groups = (("fixed-leaf", gens.fixed_rows), ("complementary", gens.complementary_rows))
     if config.format == "json":
-        return _json_doc(generators_to_dict(gens))
-    if config.format == "cas-script":
-        return cas_script(fixed + comp, gens.n, "kernel ideal generators")
+        return (
+            f'{{\n  "n": {n},\n  "total": {len(gens)},\n'
+            f'  "fixed_leaf": {_json_group(n, words, gens.fixed_rows)},\n'
+            f'  "complementary": {_json_group(n, words, gens.complementary_rows)}\n}}\n'
+        )
     if config.format == "csv":
         lines = ["group,plus_1,plus_2,minus_1,minus_2"]
-        for name, group in (("fixed-leaf", fixed), ("complementary", comp)):
-            for b in group:
-                words = [str(w) for w in b.plus.words + b.minus.words]
-                lines.append(name + "," + ",".join(words))
+        for name, rows in groups:
+            lines.extend(
+                f"{name},{words[a]},{words[b]},{words[c]},{words[d]}"
+                for a, b, c, d in rows.tolist()
+            )
         return "\n".join(lines) + "\n"
+    fixed, comp = (_binomial_texts(words, rows) for _, rows in groups)
+    if config.format == "cas-script":
+        return cas_script(fixed + comp, n, "kernel ideal generators")
     lines = [
-        f"generating set, n = {gens.n}: {len(gens)} generators "
+        f"generating set, n = {n}: {len(gens)} generators "
         f"({len(fixed)} fixed-leaf, {len(comp)} complementary)",
         "fixed-leaf:",
     ]
-    lines.extend(f"  {b}" for b in fixed)
+    lines.extend(f"  {t}" for t in fixed)
     lines.append("complementary:")
-    lines.extend(f"  {b}" for b in comp)
+    lines.extend(f"  {t}" for t in comp)
     return "\n".join(lines) + "\n"
 
 
@@ -302,14 +333,6 @@ def _run_oracle_compare(config: RunConfig) -> tuple[str, int]:
     return text, 0 if ok else 1
 
 
-def _render_export(config: RunConfig) -> str:
-    gens = build_generators(config.n, cap=config.cap)
-    if config.format == "cas-script":
-        ordered = sorted_group(gens.fixed_leaf) + sorted_group(gens.complementary)
-        return cas_script(ordered, gens.n, "kernel ideal generators")
-    return _json_doc(generators_to_dict(gens))
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
@@ -331,14 +354,12 @@ def run(config: RunConfig) -> int:
         text = _render_matrix(config)
     elif config.command == "lattice":
         text = _render_lattice(config)
-    elif config.command == "ideal":
+    elif config.command in ("ideal", "export"):
         text = _render_ideal(config)
     elif config.command == "verify-groebner":
         text, status = _run_verify(config)
     elif config.command == "oracle-compare":
         text, status = _run_oracle_compare(config)
-    elif config.command == "export":
-        text = _render_export(config)
     else:
         raise ValueError(f"unknown command {config.command!r}")
     if config.out is not None:
@@ -355,7 +376,7 @@ def _default_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        return MAX_LEAVES
+        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap",
             type=int,
-            default=_default_cap(),
+            default=None,
             help=f"upper guard for n (default {MAX_LEAVES}, env {ENV_CAP})",
         )
         p.add_argument("--out", default=None, help="write output to this path")
@@ -403,15 +424,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(
-        command=args.command,
-        n=args.n,
-        format=args.format,
-        strict=getattr(args, "strict", False),
-        cap=args.cap,
-        out=args.out,
-    )
     try:
+        config = RunConfig(
+            command=args.command,
+            n=args.n,
+            format=args.format,
+            strict=getattr(args, "strict", False),
+            cap=_default_cap() if args.cap is None else args.cap,
+            out=args.out,
+        )
         return run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

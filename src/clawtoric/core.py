@@ -141,11 +141,13 @@ class Monomial:
     words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        n = self.n
+        values = []
         for w in self.words:
-            if w.n != self.n:
-                raise ValueError(f"word length {w.n} does not match monomial n={self.n}")
-        values = tuple(w.value for w in self.words)
-        if any(values[k] > values[k + 1] for k in range(len(values) - 1)):
+            if w.n != n:
+                raise ValueError(f"word length {w.n} does not match monomial n={n}")
+            values.append(w.value)
+        if values != sorted(values):
             object.__setattr__(
                 self, "words", tuple(sorted(self.words, key=lambda w: w.value))
             )
@@ -163,7 +165,7 @@ class Monomial:
     @property
     def key(self) -> tuple[int, ...]:
         """Ascending word values; smaller key means lex-greater monomial."""
-        return tuple(w.value for w in self.words)
+        return tuple([w.value for w in self.words])
 
     def __mul__(self, other: Monomial) -> Monomial:
         if other.n != self.n:
@@ -198,20 +200,18 @@ class Binomial:
     minus: Monomial
 
     def __post_init__(self) -> None:
-        if self.plus.n != self.minus.n:
-            raise ValueError(f"mixed word lengths {self.plus.n} and {self.minus.n}")
-        if self.plus.degree != self.minus.degree:
-            raise ValueError(
-                f"mixed degrees {self.plus.degree} and {self.minus.degree}"
-            )
-        pk, mk = self.plus.key, self.minus.key
+        plus, minus = self.plus, self.minus
+        if plus.n != minus.n:
+            raise ValueError(f"mixed word lengths {plus.n} and {minus.n}")
+        if len(plus.words) != len(minus.words):
+            raise ValueError(f"mixed degrees {plus.degree} and {minus.degree}")
+        pk, mk = plus.key, minus.key
         if pk == mk:
             raise ValueError("zero binomial; use make_binomial for a None outcome")
         if pk > mk:
             # larger key = lex-smaller monomial; swap so plus is the lead
-            plus, minus = self.minus, self.plus
-            object.__setattr__(self, "plus", plus)
-            object.__setattr__(self, "minus", minus)
+            object.__setattr__(self, "plus", minus)
+            object.__setattr__(self, "minus", plus)
 
     @property
     def n(self) -> int:
@@ -252,27 +252,35 @@ def param_image_monomial(m: Monomial) -> tuple[ParamVariable, ...]:
     return tuple(merged)
 
 
-def _image_key(m: Monomial) -> tuple[int, ...]:
-    # Same multiset as param_image_monomial, packed as (i << 1) | g integers.
-    parts: list[int] = []
-    for w in m.words:
-        value, n = w.value, w.n
-        parts.extend((i << 1) | ((value >> (n - i)) & 1) for i in range(1, n + 1))
-        parts.append(((n + 1) << 1) | (value.bit_count() & 1))
-    parts.sort()
-    return tuple(parts)
+@lru_cache(maxsize=None)
+def _image_table(n: int, width: int) -> tuple[int, ...]:
+    # One int per word value: the word's bit at each leaf in its own lane of
+    # `width` bits, and its root parity in the lane above them.  Summing the
+    # entries of a monomial of degree < 2^width counts, per lane, how many
+    # factors map to a_1 there; the a_0 counts follow from the degree.
+    spread = [0] * (1 << n)
+    for v in range(1, 1 << n):
+        spread[v] = (spread[v >> 1] << width) | (v & 1)
+    root = n * width
+    return tuple(s | ((v.bit_count() & 1) << root) for v, s in enumerate(spread))
 
 
 def in_kernel(b: Binomial) -> bool:
     """True iff both sides have the same parameter multiset."""
-    return _image_key(b.plus) == _image_key(b.minus)
+    table = _image_table(b.n, b.degree.bit_length())
+    plus = sum([table[w.value] for w in b.plus.words])
+    return plus == sum([table[w.value] for w in b.minus.words])
 
 
 def project(b: Binomial, position: int) -> Binomial | None:
     """Delete one position from every word; None when the sides collapse."""
     if b.n < 3:
         raise ValueError(f"projection needs word length >= 3, got {b.n}")
-    _check_position(position, b.n)
-    plus = Monomial(b.n - 1, tuple(w.delete(position) for w in b.plus.words))
-    minus = Monomial(b.n - 1, tuple(w.delete(position) for w in b.minus.words))
-    return make_binomial(plus, minus)
+    n = b.n
+    _check_position(position, n)
+
+    def shrink(m: Monomial) -> Monomial:
+        words = [_cached_word(_delete_bit(w.value, n, position), n - 1) for w in m.words]
+        return Monomial(n - 1, tuple(words))
+
+    return make_binomial(shrink(b.plus), shrink(b.minus))

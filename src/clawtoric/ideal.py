@@ -20,59 +20,112 @@ complementary pairs together through q_100 * q_011.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
 
-from .core import (
-    MAX_LEAVES,
-    Binomial,
-    Monomial,
-    Word,
-    _cached_word,
-    _insert_bit,
-)
+import numpy as np
+
+from .core import MAX_LEAVES, Binomial, Monomial, _cached_word
+
+# A quadratic generator is the row (plus_0, plus_1, minus_0, minus_1) of word
+# values, each side in ascending value order and plus the lex-greater side,
+# so that (plus_0, plus_1) < (minus_0, minus_1).  A group is an (N, 4) int64
+# array of distinct rows in ascending row order, which is the lead order
+# (plus.key, minus.key).  A column holds words of up to 62 bits.
+Rows = np.ndarray
 
 
-def _binomial_from_values(n: int, plus: tuple[int, int], minus: tuple[int, int]) -> Binomial:
-    return Binomial(
-        Monomial(n, (_cached_word(plus[0], n), _cached_word(plus[1], n))),
-        Monomial(n, (_cached_word(minus[0], n), _cached_word(minus[1], n))),
+def _sorted_unique_rows(rows: Rows) -> Rows:
+    """Distinct rows in ascending lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _binomials(n: int, rows: Rows) -> tuple[Binomial, ...]:
+    words = [_cached_word(v, n) for v in range(1 << n)]
+    return tuple(
+        Binomial(Monomial(n, (words[a], words[b])), Monomial(n, (words[c], words[d])))
+        for a, b, c, d in rows.tolist()
     )
 
 
-def _sort_key(b: Binomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (b.plus.key, b.minus.key)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Quadratic generators split by the fixed-leaf/complementary dichotomy."""
+    """Quadratic generators split by the fixed-leaf/complementary dichotomy.
+
+    The lead-sorted rows of each group are the source of truth; they are
+    copied on construction and kept read-only.  The ``Binomial`` objects
+    are built from them on first use, once per set, and shared by the two
+    frozensets and ``sorted_generators()``.
+    """
 
     n: int
-    fixed_leaf: frozenset[Binomial]
-    complementary: frozenset[Binomial]
+    fixed_rows: Rows
+    complementary_rows: Rows
+
+    def __post_init__(self):
+        for name in ("fixed_rows", "complementary_rows"):
+            rows = np.array(getattr(self, name), dtype=np.int64).reshape(-1, 4)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+
+    def _value(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.fixed_rows.tobytes(), self.complementary_rows.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GeneratorSet):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[Binomial, ...], tuple[Binomial, ...]]:
+        return _binomials(self.n, self.fixed_rows), _binomials(self.n, self.complementary_rows)
+
+    @cached_property
+    def fixed_leaf(self) -> frozenset[Binomial]:
+        return frozenset(self._groups[0])
+
+    @cached_property
+    def complementary(self) -> frozenset[Binomial]:
+        return frozenset(self._groups[1])
 
     def __len__(self) -> int:
-        return len(self.fixed_leaf) + len(self.complementary)
+        return len(self.fixed_rows) + len(self.complementary_rows)
 
     def __iter__(self):
         """Deterministic order: fixed-leaf then complementary, lead descending."""
-        return chain(
-            sorted(self.fixed_leaf, key=_sort_key),
-            sorted(self.complementary, key=_sort_key),
-        )
+        return iter(self.sorted_generators())
 
     def sorted_generators(self) -> tuple[Binomial, ...]:
-        return tuple(self)
+        fixed, comp = self._groups
+        return fixed + comp
+
+
+def _rows(values: list[tuple[int, int, int, int]]) -> Rows:
+    return np.array(values, dtype=np.int64).reshape(-1, 4)
 
 
 def base_generators() -> GeneratorSet:
     """The three quadrics at n = 3; all of them are complementary."""
-    minus = (0b100, 0b011)
-    members = frozenset(
-        _binomial_from_values(3, (w, 0b111 ^ w), minus) for w in (0b000, 0b001, 0b010)
-    )
-    return GeneratorSet(3, frozenset(), members)
+    rows = _rows([(w, 0b111 ^ w, 0b011, 0b100) for w in (0b000, 0b001, 0b010)])
+    return GeneratorSet(3, _rows([]), rows)
+
+
+def _lift_rows(lower: GeneratorSet) -> Rows:
+    n = lower.n + 1
+    stacked = np.concatenate([lower.fixed_rows, lower.complementary_rows])
+    # block (i, j): every lower row with bit j spliced in at 1-based position i
+    blocks = np.empty((n, 2, *stacked.shape), dtype=np.int64)
+    for i in range(1, n + 1):
+        low_width = n - i
+        low = stacked & ((1 << low_width) - 1)
+        blocks[i - 1, 0] = ((stacked >> low_width) << (low_width + 1)) | low
+        blocks[i - 1, 1] = blocks[i - 1, 0] | (1 << low_width)
+    return _sorted_unique_rows(blocks.reshape(-1, 4))
 
 
 def lift_fixed_leaf(lower: GeneratorSet) -> frozenset[Binomial]:
@@ -84,24 +137,23 @@ def lift_fixed_leaf(lower: GeneratorSet) -> frozenset[Binomial]:
     lead/trail orientation, because splicing the same bit at the same place
     is monotone for the binary counting order.
     """
-    m = lower.n
-    n = m + 1
-    seen: set[tuple[int, int, int, int]] = set()
-    for b in lower:
-        p0, p1 = b.plus.key
-        m0, m1 = b.minus.key
-        for i in range(1, n + 1):
-            for j in (0, 1):
-                seen.add(
-                    (
-                        _insert_bit(p0, m, i, j),
-                        _insert_bit(p1, m, i, j),
-                        _insert_bit(m0, m, i, j),
-                        _insert_bit(m1, m, i, j),
-                    )
-                )
-    return frozenset(
-        _binomial_from_values(n, (t[0], t[1]), (t[2], t[3])) for t in seen
+    return frozenset(_binomials(lower.n + 1, _lift_rows(lower)))
+
+
+def _complementary_rows(n: int) -> Rows:
+    if n < 4:
+        raise ValueError(f"direct complementary construction needs n >= 4, got {n}")
+    full = (1 << n) - 1
+    low_odd = (1 << (n - 1)) - 1  # 01..1
+    low_even = low_odd - 1        # 01..10
+    pair_odd = (low_odd, full ^ low_odd)
+    pair_even = (low_even, full ^ low_even)
+    if n % 2:
+        # odd bit count flips parity under complement, so the root parities
+        # of any two complementary pairs agree; one right-hand pair serves all
+        return _rows([(w, full ^ w, *pair_odd) for w in range(low_odd)])
+    return _rows(
+        [(w, full ^ w, *(pair_odd if w.bit_count() & 1 else pair_even)) for w in range(low_even)]
     )
 
 
@@ -112,24 +164,7 @@ def complementary_generators(n: int) -> frozenset[Binomial]:
     other pair {w, complement(w)} supplies a left-hand monomial.  For even n
     the right-hand monomial is chosen to match the root parity of the pair.
     """
-    if n < 4:
-        raise ValueError(f"direct complementary construction needs n >= 4, got {n}")
-    full = (1 << n) - 1
-    low_odd = (1 << (n - 1)) - 1  # 01..1
-    low_even = low_odd - 1        # 01..10
-    pair_odd = (low_odd, full ^ low_odd)
-    pair_even = (low_even, full ^ low_even)
-    out: list[Binomial] = []
-    if n % 2:
-        # odd bit count flips parity under complement, so the root parities
-        # of any two complementary pairs agree; one right-hand pair serves all
-        for w in range(low_odd):
-            out.append(_binomial_from_values(n, (w, full ^ w), pair_odd))
-    else:
-        for w in range(low_even):
-            minus = pair_odd if (w.bit_count() & 1) else pair_even
-            out.append(_binomial_from_values(n, (w, full ^ w), minus))
-    return frozenset(out)
+    return frozenset(_binomials(n, _complementary_rows(n)))
 
 
 def complementary_count(n: int) -> int:
@@ -137,12 +172,21 @@ def complementary_count(n: int) -> int:
     return (1 << (n - 1)) - 2 + (n % 2)
 
 
+def fixed_leaf_count(n: int) -> int:
+    """Size of the fixed-leaf group: (4^n - 3*3^n + 2*2^n + 2 + (-1)^n)/2."""
+    return (4**n - 3 * 3**n + 2 * 2**n + 2 + (-1) ** n) // 2
+
+
+def generator_count(n: int) -> int:
+    """Size of G_n: (4^n - 3*3^n + 3*2^n - 1)/2."""
+    return (4**n - 3 * 3**n + 3 * 2**n - 1) // 2
+
+
 @lru_cache(maxsize=None)
 def _build(n: int) -> GeneratorSet:
     if n == 3:
         return base_generators()
-    lower = _build(n - 1)
-    return GeneratorSet(n, lift_fixed_leaf(lower), complementary_generators(n))
+    return GeneratorSet(n, _lift_rows(_build(n - 1)), _complementary_rows(n))
 
 
 def build_generators(n: int, cap: int = MAX_LEAVES) -> GeneratorSet:

@@ -3,6 +3,7 @@ and exit codes."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,20 @@ def test_json_export_parses_back_to_the_same_generators(capsys):
     comp = frozenset(binomial_from_dict(d) for d in payload["complementary"])
     assert fixed == gens.fixed_leaf
     assert comp == gens.complementary
+
+
+def test_ideal_json_is_the_json_dump_of_the_sorted_groups(capsys):
+    for n in (3, 4, 5, 6):
+        gens = build_generators(n)
+        payload = {
+            "n": n,
+            "total": len(gens),
+            "fixed_leaf": [binomial_to_dict(b) for b in sorted_group(gens.fixed_leaf)],
+            "complementary": [binomial_to_dict(b) for b in sorted_group(gens.complementary)],
+        }
+        code, out, _ = run_cli(capsys, "ideal", "--n", str(n), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_json_lists_are_sorted_by_leading_monomial(capsys):
@@ -275,6 +290,25 @@ def test_out_flag_writes_the_same_bytes_to_a_file(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
+# sha256 of `clawtoric ideal --n 7` in each format, as first released
+IDEAL_N7_SHA256 = {
+    "plain": "4ea31a0d4e30191eaf95a127de60fb0745575ec696bb3a4dcd07756f4d4248d2",
+    "csv": "d65a530d455cc85bf912f1f49b7da8c707c4e1f890164a815cbd5342a78e3b5f",
+    "json": "5db9326d9508677e64c85e384290737f6b00fe1ec5eb54c2a2346d9a21855ac3",
+    "cas-script": "1c954d24252ebbd1c8cb9961c7a6c422d299bed6cf9ebb8c9011b2dbf84201ba",
+}
+
+
+@pytest.mark.parametrize(
+    "command,fmt",
+    [("ideal", fmt) for fmt in IDEAL_N7_SHA256] + [("export", "json"), ("export", "cas-script")],
+)
+def test_generating_set_output_bytes_at_seven_leaves(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, command, "--n", "7", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == IDEAL_N7_SHA256[fmt]
+
+
 # ---------------------------------------------------------------------------
 # argument validation
 # ---------------------------------------------------------------------------
@@ -328,6 +362,11 @@ def test_environment_variable_sets_the_default_cap(capsys, monkeypatch):
     assert run_cli(capsys, "matrix", "--n", "5", "--cap", "6")[0] == 0
 
 
-def test_garbage_in_the_cap_variable_falls_back_to_the_default(capsys, monkeypatch):
+def test_malformed_cap_variable_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv(ENV_CAP, "banana")
-    assert run_cli(capsys, "matrix", "--n", "5")[0] == 0
+    code, out, err = run_cli(capsys, "matrix", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert ENV_CAP in err and "banana" in err
+    # an explicit --cap does not consult the variable
+    assert run_cli(capsys, "matrix", "--n", "5", "--cap", "6")[0] == 0

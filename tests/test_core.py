@@ -6,7 +6,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from clawtoric.core import (
@@ -252,6 +252,48 @@ def test_kernel_membership_matches_image_multisets(n: int, data):
         param_image_monomial(bi.minus)
     )
     assert in_kernel(bi) == expected
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.data(),
+)
+def test_in_kernel_agrees_with_the_image_multisets_in_every_degree(
+    n: int, degree: int, shuffle_columns: bool, data
+):
+    side = st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=degree, max_size=degree)
+    plus = data.draw(side)
+    if shuffle_columns:
+        # permuting each leaf's column of bits across the factors keeps every
+        # leaf count, so the pair is in the kernel iff the root counts agree
+        columns = [data.draw(st.permutations([(v >> (n - i)) & 1 for v in plus])) for i in range(1, n + 1)]
+        minus = [sum(col[k] << (n - i) for i, col in enumerate(columns, start=1)) for k in range(degree)]
+    else:
+        minus = data.draw(side)
+    bi = make_binomial(
+        Monomial(n, tuple(Word(v, n) for v in plus)), Monomial(n, tuple(Word(v, n) for v in minus))
+    )
+    assume(bi is not None)
+    expected = param_image_monomial(bi.plus) == param_image_monomial(bi.minus)
+    assert in_kernel(bi) == expected
+
+
+@pytest.mark.parametrize("n,degree", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_in_kernel_agrees_with_the_image_multisets_exhaustively(n, degree):
+    monomials = [
+        Monomial(n, tuple(Word(v, n) for v in values))
+        for values in itertools.combinations_with_replacement(range(1 << n), degree)
+    ]
+    images = [param_image_monomial(m) for m in monomials]
+    verdicts = Counter()
+    for (m1, i1), (m2, i2) in itertools.combinations(zip(monomials, images), 2):
+        verdict = in_kernel(Binomial(m1, m2))
+        assert verdict == (i1 == i2)
+        verdicts[verdict] += 1
+    assert verdicts[False] > 0
+    assert (verdicts[True] > 0) == (degree > 1)
 
 
 # ---------------------------------------------------------------------------

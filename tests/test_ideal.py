@@ -3,17 +3,25 @@ complementary construction."""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clawtoric import ideal
+from clawtoric.cli import sorted_group
 from clawtoric.core import Binomial, Monomial, Word, in_kernel
 from clawtoric.ideal import (
+    GeneratorSet,
     base_generators,
     build_generators,
     complementary_count,
     complementary_generators,
+    fixed_leaf_count,
     fixed_positions,
+    generator_count,
     is_fully_complementary,
     lift_fixed_leaf,
 )
@@ -103,6 +111,32 @@ def test_totals_by_leaf_count():
     ]
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_closed_forms_match_the_build(n):
+    gens = build_generators(n)
+    assert len(gens) == generator_count(n)
+    assert len(gens.fixed_rows) == fixed_leaf_count(n)
+    assert len(gens.complementary_rows) == complementary_count(n)
+
+
+def test_closed_forms_at_nine_leaves():
+    assert (generator_count(9), fixed_leaf_count(9)) == (102_315, 102_060)
+
+
+def test_group_counts_add_up_to_the_total():
+    for n in range(3, 40):
+        assert fixed_leaf_count(n) + complementary_count(n) == generator_count(n)
+
+
+def test_rows_are_in_lead_order():
+    for n in range(3, 8):
+        gens = build_generators(n)
+        assert list(gens.sorted_generators()) == (
+            sorted_group(gens.fixed_leaf) + sorted_group(gens.complementary)
+        )
+        assert not gens.fixed_rows.flags.writeable
+
+
 def test_complementary_count_formula():
     for n in range(4, 13):
         assert complementary_count(n) == (1 << (n - 1)) - 2 + (n % 2)
@@ -164,6 +198,82 @@ def test_every_lifted_generator_has_a_fixed_position():
         positions = fixed_positions(b)
         assert positions
         assert not is_fully_complementary(b)
+
+
+def object_lift(lower: GeneratorSet) -> frozenset[Binomial]:
+    """The lift written out word by word with Word.insert."""
+    out = set()
+    for b in lower:
+        for i in range(1, lower.n + 2):
+            for j in (0, 1):
+                plus, minus = (
+                    Monomial(lower.n + 1, tuple(w.insert(i, j) for w in m.words))
+                    for m in (b.plus, b.minus)
+                )
+                out.add(Binomial(plus, minus))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_packed_lift_equals_the_object_level_lift(n):
+    expected = object_lift(build_generators(n - 1))
+    assert lift_fixed_leaf(build_generators(n - 1)) == expected
+    assert build_generators(n).fixed_leaf == expected
+
+
+def random_rows(m: int, count: int, seed: int) -> list[tuple[int, int, int, int]]:
+    """Canonical rows of m-bit words, most of them using the top bit."""
+    rng = random.Random(seed)
+    top = 1 << (m - 1)
+    rows = set()
+    while len(rows) < count:
+        values = [rng.randrange(1 << m) | (top if rng.random() < 0.8 else 0) for _ in range(4)]
+        plus, minus = tuple(sorted(values[:2])), tuple(sorted(values[2:]))
+        if plus != minus:
+            rows.add(min(plus, minus) + max(plus, minus))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("m", [14, 15])
+def test_lift_is_exact_for_words_using_the_top_bit(m):
+    # the spliced words of the lifted level use bit 14 or 15, so four of them
+    # would not fit one 64-bit key; the rows must stay exact as they are
+    rows = np.array(random_rows(m, 60, seed=m), dtype=np.int64)
+    lower = GeneratorSet(m, rows, np.empty((0, 4), dtype=np.int64))
+    expected = object_lift(lower)
+    assert lift_fixed_leaf(lower) == expected
+    assert [tuple(r) for r in ideal._lift_rows(lower).tolist()] == sorted(
+        b.plus.key + b.minus.key for b in expected
+    )
+    # a row whose words agree at leaves 1 and 2 lifts to one row twice
+    assert len(expected) < 2 * (m + 1) * len(rows)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_sorted_unique_rows_match_python_sorting(n):
+    rows = random_rows(n, 200, seed=n)
+    doubled = np.array(rows + rows[::3], dtype=np.int64)
+    got = ideal._sorted_unique_rows(doubled[::-1])
+    assert [tuple(r) for r in got.tolist()] == rows
+
+
+def test_generator_set_is_an_immutable_value():
+    fixed = np.array([(0b0000, 0b1111, 0b0011, 0b1100)], dtype=np.int64)
+    comp = np.empty((0, 4), dtype=np.int64)
+    a = GeneratorSet(4, fixed, comp)
+    b = GeneratorSet(4, fixed.copy(), comp.copy())
+    assert a == b and hash(a) == hash(b)
+    assert a != GeneratorSet(4, comp, fixed)
+    # the caller's arrays are copied, not frozen in place
+    assert fixed.flags.writeable
+    fixed[0, 0] = 0b0001
+    assert a.fixed_rows[0, 0] == 0b0000
+    assert not a.fixed_rows.flags.writeable
+    with pytest.raises(AttributeError):
+        a.n = 5
+    assert build_generators(5) == GeneratorSet(
+        5, build_generators(5).fixed_rows, build_generators(5).complementary_rows
+    )
 
 
 @given(st.data())
