@@ -9,8 +9,12 @@ in multiset arithmetic.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import Binomial, Monomial, _cached_word, make_binomial
 
@@ -123,7 +127,13 @@ class BinomialReducer:
                     best = idx
         return best
 
-    def _reduce_key(self, plus: Key, minus: Key) -> tuple[Key | None, Key | None, int]:
+    def _reduce(
+        self, plus: Key, minus: Key, trace: list[tuple[int, Key]] | None = None
+    ) -> tuple[Key | None, Key | None, int]:
+        """Divide plus - minus; (None, None, steps) when it reduces to zero.
+
+        With a trace list, each step appends (divisor index, multiplier key).
+        """
         # the lead strictly decreases each step, so this terminates
         steps = 0
         while True:
@@ -134,6 +144,8 @@ class BinomialReducer:
             replaced = list(plus)
             for v in self._plus[idx]:
                 replaced.remove(v)
+            if trace is not None:
+                trace.append((idx, tuple(replaced)))
             replaced.extend(self._minus[idx])
             replaced.sort()
             new = tuple(replaced)
@@ -151,42 +163,29 @@ class BinomialReducer:
     def normal_form(self, b: Binomial) -> Binomial | None:
         """Fully reduce; None means b reduced to zero."""
         self._check_input(b)
-        plus, minus, _ = self._reduce_key(b.plus.key, b.minus.key)
+        plus, minus, _ = self._reduce(b.plus.key, b.minus.key)
         if plus is None:
             return None
         return Binomial(_monomial_from_key(b.n, plus), _monomial_from_key(b.n, minus))
 
     def normal_form_with_trace(self, b: Binomial) -> tuple[Binomial | None, ReductionTrace]:
         self._check_input(b)
-        plus, minus = b.plus.key, b.minus.key
-        steps: list[tuple[Binomial, Monomial]] = []
-        final: Binomial | None
-        while True:
-            idx = self._find_divisor(plus)
-            if idx is None:
-                final = Binomial(_monomial_from_key(b.n, plus), _monomial_from_key(b.n, minus))
-                break
-            steps.append(
-                (self.elements[idx], _monomial_from_key(b.n, _multiset_sub(plus, self._plus[idx])))
-            )
-            replaced = list(plus)
-            for v in self._plus[idx]:
-                replaced.remove(v)
-            replaced.extend(self._minus[idx])
-            replaced.sort()
-            new = tuple(replaced)
-            if new == minus:
-                final = None
-                break
-            if new < minus:
-                plus = new
-            else:
-                plus, minus = minus, new
-        return final, ReductionTrace(b, tuple(steps), final)
+        record: list[tuple[int, Key]] = []
+        plus, minus, _ = self._reduce(b.plus.key, b.minus.key, record)
+        final = (
+            None
+            if plus is None
+            else Binomial(_monomial_from_key(b.n, plus), _monomial_from_key(b.n, minus))
+        )
+        steps = tuple(
+            (self.elements[idx], _monomial_from_key(b.n, multiplier))
+            for idx, multiplier in record
+        )
+        return final, ReductionTrace(b, steps, final)
 
     def in_ideal(self, b: Binomial) -> bool:
         self._check_input(b)
-        return self._reduce_key(b.plus.key, b.minus.key)[0] is None
+        return self._reduce(b.plus.key, b.minus.key)[0] is None
 
 
 def normal_form(b: Binomial, basis: Iterable[Binomial]) -> tuple[Binomial | None, ReductionTrace]:
@@ -229,6 +228,253 @@ class GroebnerCertificate:
     max_steps: int
     failures: tuple[PairOutcome, ...]
     pairs: tuple[PairOutcome, ...] | None
+    # reduced plus stuck pairs by reduction step count; index max_steps last
+    step_histogram: tuple[int, ...] = ()
+
+
+# Rule codes of the batched scan, in the order of _RULES.
+_RULES = ("coprime-skip", "shared-trailing-skip", "spoly-zero", "reduced", "stuck")
+_COPRIME, _SHARED, _ZERO, _REDUCED, _STUCK = range(len(_RULES))
+# Pairs per chunk: the scan filters this many pairs at a time and reduces
+# S-polynomials of one degree once this many are queued, so its memory is
+# O(basis + chunk), never O(pairs).
+_CHUNK_PAIRS = 4096
+# The first-divisor lookup is a dense table over pairs of word ranks when
+# that has at most 4 cells per basis element plus this many (always so for
+# G_n), and a binary search over the packed leads otherwise.
+_TABLE_SLACK = 1 << 16
+
+
+def _position_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a sorted row of width d: the position pairs (x, y), x < y, as two
+    index rows, and for each pair the positions left once x and y go."""
+    pairs = list(itertools.combinations(range(d), 2))
+    rest = [[r for r in range(d) if r not in pair] for pair in pairs]
+    return (
+        np.array(pairs, dtype=np.intp).T,
+        np.array(rest, dtype=np.intp).reshape(len(pairs), d - 2),
+    )
+
+
+_POSITIONS = {d: _position_pairs(d) for d in (2, 3, 4)}
+
+
+def _insert(u: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sorted rows of {u, v, x}, given u <= v."""
+    return np.array([np.minimum(u, x), np.maximum(u, np.minimum(v, x)), np.maximum(v, x)])
+
+
+def _merge(u: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sorted rows of {u, v, x, y}, given u <= v and x <= y."""
+    hi_of_lows, lo_of_highs = np.maximum(u, x), np.minimum(v, y)
+    return np.array(
+        [
+            np.minimum(u, x),
+            np.minimum(hi_of_lows, lo_of_highs),
+            np.maximum(hi_of_lows, lo_of_highs),
+            np.maximum(v, y),
+        ]
+    )
+
+
+def _order(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column of two (d, k) monomial arrays: the smaller, the larger, equal."""
+    differ = s1 != s2
+    first = differ.argmax(axis=0)
+    columns = np.arange(s1.shape[1])
+    lower = s1[first, columns] < s2[first, columns]
+    return np.where(lower, s1, s2), np.where(lower, s2, s1), ~differ.any(axis=0)
+
+
+class _PairScan:
+    """Every S-pair of a lead-sorted quadratic basis, reduced in batches.
+
+    Words are replaced by their ranks among the basis's word values, which
+    keeps every comparison and makes the keys independent of n.  A monomial
+    of degree d is a sorted column of a (d, k) array.  Pairs are filtered
+    chunk by chunk; the survivors are queued by S-polynomial degree (2 for
+    equal leads, 3 for one shared word, 4 for coprime leads), and each
+    reduction step rewrites every column of a queued batch at once, with
+    the divisor the scalar engine picks: the lowest lead-sorted index whose
+    lead is a pair of words of the current lead.
+    """
+
+    def __init__(self, reducer: BinomialReducer, strict: bool, record_pairs: bool):
+        values = sorted({v for key in reducer._plus + reducer._minus for v in key})
+        rank = {v: r for r, v in enumerate(values)}
+        self.m = m = len(reducer._plus)
+        self.strict = strict
+        self.width = width = max(len(values), 1)
+        # ranks, packed pairs of ranks and basis indices share the smallest
+        # integer type that holds them all
+        dtype = next(
+            t for t in (np.int16, np.int32, np.int64) if max(width * width, m) <= np.iinfo(t).max
+        )
+        # (lead0, lead1, trail0, trail1) of each element, one row each
+        self.basis = np.array(
+            [[rank[v] for v in p + q] for p, q in zip(reducer._plus, reducer._minus)],
+            dtype=dtype,
+        ).reshape(m, 4).T.copy()
+        # packed leads, non-decreasing in basis order
+        self.lead_keys = self.basis[0] * width + self.basis[1]
+        self.table: np.ndarray | None = None
+        if width * width <= 4 * m + _TABLE_SLACK:
+            self.table = np.full(width * width, m, dtype)
+            keys, first = np.unique(self.lead_keys, return_index=True)
+            self.table[keys] = first
+        # number of pairs (i, j), i < j, before row i of the scan, and after the last
+        rows = np.arange(m + 1, dtype=np.int64)
+        self.row_start = rows * (2 * m - rows - 1) // 2
+        self.pairs_total = int(self.row_start[-1])
+        # one int object per index, shared by every outcome that names it
+        self.index = np.arange(m).astype(object)
+        self.queues: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {2: [], 3: [], 4: []}
+        self.counts = np.zeros(len(_RULES), np.int64)
+        self.histogram = np.zeros(0, np.int64)
+        # stuck pairs of each degree, each list in scan order
+        self.stuck: dict[int, list[PairOutcome]] = {2: [], 3: [], 4: []}
+        # rule code and step count of every pair, kept only to record the pairs
+        self.recorded: tuple[np.ndarray, np.ndarray] | None = None
+        if record_pairs:
+            self.recorded = (
+                np.empty(self.pairs_total, np.int8), np.empty(self.pairs_total, np.int64)
+            )
+
+    def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of the pairs numbered start..stop-1 in scan order."""
+        flat = np.arange(start, stop, dtype=np.int64)
+        i = np.searchsorted(self.row_start, flat, side="right") - 1
+        return i, flat - self.row_start[i] + i + 1
+
+    def first_divisor(self, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column: the divisor index (m when none) and its position-pair code."""
+        x, y = _POSITIONS[lead.shape[0]][0]
+        keys = lead[x] * self.width + lead[y]
+        if self.table is not None:
+            candidates = self.table[keys]
+        else:
+            pos = np.minimum(np.searchsorted(self.lead_keys, keys), self.m - 1)
+            candidates = np.where(self.lead_keys[pos] == keys, pos, self.m)
+        code = candidates.argmin(axis=0)
+        return candidates[code, np.arange(lead.shape[1])], code
+
+    def reduce(
+        self, plus: np.ndarray, minus: np.ndarray, rule: np.ndarray, steps: np.ndarray
+    ) -> None:
+        """Reduce every column plus - minus; record its rule and step count."""
+        degree = plus.shape[0]
+        where = np.arange(plus.shape[1])
+        taken = 0
+        while True:
+            plus, minus, zero = _order(plus, minus)
+            rule[where[zero]] = _REDUCED if taken else _ZERO
+            steps[where[zero]] = taken
+            if zero.any():
+                live = ~zero
+                plus, minus, where = plus[:, live], minus[:, live], where[live]
+            if not where.size:
+                return
+            idx, code = self.first_divisor(plus)
+            stuck = idx == self.m
+            if stuck.any():
+                rule[where[stuck]] = _STUCK
+                steps[where[stuck]] = taken
+                live = ~stuck
+                plus, minus, where = plus[:, live], minus[:, live], where[live]
+                idx, code = idx[live], code[live]
+                if not where.size:
+                    return
+            taken += 1
+            u, v = self.basis[2:, idx]
+            if degree == 2:
+                plus = np.array([u, v])
+            else:
+                columns = np.arange(where.size)
+                rest = [plus[r, columns] for r in _POSITIONS[degree][1][code].T]
+                plus = _insert(u, v, *rest) if degree == 3 else _merge(*rest, u, v)
+
+    def tally(self, i: np.ndarray, j: np.ndarray, rule: np.ndarray, steps: np.ndarray) -> None:
+        self.counts += np.bincount(rule, minlength=len(_RULES))
+        taken = np.bincount(steps[rule >= _REDUCED])
+        if taken.size > self.histogram.size:
+            self.histogram = np.pad(self.histogram, (0, taken.size - self.histogram.size))
+        self.histogram[: taken.size] += taken
+        if self.recorded is not None:
+            flat = self.row_start[i] + j - i - 1
+            self.recorded[0][flat] = rule
+            self.recorded[1][flat] = steps
+
+    def scan(self) -> None:
+        for start in range(0, self.pairs_total, _CHUNK_PAIRS):
+            i, j = self.pairs(start, min(start + _CHUNK_PAIRS, self.pairs_total))
+            a1, b1, c1, d1 = self.basis[:, i]
+            a2, b2, c2, d2 = self.basis[:, j]
+            equal = (a1 == a2) & (b1 == b2)
+            coprime = ~((a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2))
+            if not self.strict:
+                trailing = ~coprime & ((c1 == c2) | (c1 == d2) | (d1 == c2) | (d1 == d2))
+                skipped = coprime | trailing
+                rule = np.where(coprime, _COPRIME, _SHARED).astype(np.int8)[skipped]
+                self.tally(i[skipped], j[skipped], rule, np.zeros(rule.size, np.int64))
+                i, j, equal, coprime = i[~skipped], j[~skipped], equal[~skipped], coprime[~skipped]
+            for degree, mask in ((2, equal), (3, ~coprime & ~equal), (4, coprime)):
+                if mask.any():
+                    self.queues[degree].append((i[mask], j[mask]))
+                    if sum(q[0].size for q in self.queues[degree]) >= _CHUNK_PAIRS:
+                        self.flush(degree)
+        for degree in self.queues:
+            self.flush(degree)
+
+    def s_polynomials(self, degree: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The two sides of the S-polynomial of each pair (i, j) of one degree."""
+        a1, b1, c1, d1 = self.basis[:, i]
+        a2, b2, c2, d2 = self.basis[:, j]
+        # trail_i * lcm/lead_i and trail_j * lcm/lead_j
+        if degree == 2:
+            return np.array([c1, d1]), np.array([c2, d2])
+        if degree == 3:
+            return (
+                _insert(c1, d1, np.where((a1 == a2) | (b1 == a2), b2, a2)),
+                _insert(c2, d2, np.where((a1 == a2) | (a1 == b2), b1, a1)),
+            )
+        return _merge(c1, d1, a2, b2), _merge(c2, d2, a1, b1)
+
+    def flush(self, degree: int) -> None:
+        """Reduce the queued S-polynomials of one degree."""
+        queue = self.queues[degree]
+        if not queue:
+            return
+        i, j = np.concatenate([q[0] for q in queue]), np.concatenate([q[1] for q in queue])
+        queue.clear()
+        rule = np.empty(i.size, np.int8)
+        steps = np.empty(i.size, np.int64)
+        self.reduce(*self.s_polynomials(degree, i, j), rule, steps)
+        self.tally(i, j, rule, steps)
+        stuck = rule == _STUCK
+        self.stuck[degree].extend(
+            PairOutcome(a, b, "stuck", s)
+            for a, b, s in zip(self.index[i[stuck]], self.index[j[stuck]], steps[stuck].tolist())
+        )
+
+    def failures(self) -> tuple[PairOutcome, ...]:
+        """The stuck pairs of all degrees, in scan order."""
+        return tuple(heapq.merge(*self.stuck.values(), key=lambda p: (p.i, p.j)))
+
+    def records(self) -> tuple[PairOutcome, ...]:
+        """Every pair's outcome, in scan order; needs record_pairs."""
+        rule, steps = self.recorded
+        out: list[PairOutcome] = []
+        for start in range(0, self.pairs_total, _CHUNK_PAIRS):
+            stop = min(start + _CHUNK_PAIRS, self.pairs_total)
+            i, j = self.pairs(start, stop)
+            out.extend(
+                PairOutcome(a, b, _RULES[r], s)
+                for a, b, r, s in zip(
+                    self.index[i], self.index[j], rule[start:stop].tolist(),
+                    steps[start:stop].tolist(),
+                )
+            )
+        return tuple(out)
 
 
 def verify_groebner(
@@ -243,69 +489,30 @@ def verify_groebner(
     rules apply first: coprime leads (the product criterion) and a shared
     factor between the two trailing monomials.  Strict mode is the mode the
     acceptance checks rely on; the skip rules are conveniences.
+
+    The pairs are scanned as integer arrays (see _PairScan); the rule and
+    step count of every pair are the ones the scalar reduction of
+    BinomialReducer gives.
     """
     reducer = BinomialReducer(basis)
-    plus_keys = reducer._plus
-    minus_keys = reducer._minus
-    reduce_key = reducer._reduce_key
-    m = len(plus_keys)
-    records: list[PairOutcome] | None = [] if record_pairs else None
-    failures: list[PairOutcome] = []
-    reduced = spoly_zero = skipped_coprime = skipped_shared = max_steps = 0
-    for i in range(m):
-        p1 = plus_keys[i]
-        m1 = minus_keys[i]
-        p1a, p1b = p1
-        m1a, m1b = m1
-        for j in range(i + 1, m):
-            p2 = plus_keys[j]
-            m2 = minus_keys[j]
-            if not strict:
-                if p1a != p2[0] and p1a != p2[1] and p1b != p2[0] and p1b != p2[1]:
-                    skipped_coprime += 1
-                    if records is not None:
-                        records.append(PairOutcome(i, j, "coprime-skip", 0))
-                    continue
-                if m1a == m2[0] or m1a == m2[1] or m1b == m2[0] or m1b == m2[1]:
-                    skipped_shared += 1
-                    if records is not None:
-                        records.append(PairOutcome(i, j, "shared-trailing-skip", 0))
-                    continue
-            lead_lcm = _multiset_lcm(p1, p2)
-            s1 = tuple(sorted(m1 + _multiset_sub(lead_lcm, p1)))
-            s2 = tuple(sorted(m2 + _multiset_sub(lead_lcm, p2)))
-            if s1 == s2:
-                spoly_zero += 1
-                if records is not None:
-                    records.append(PairOutcome(i, j, "spoly-zero", 0))
-                continue
-            if s1 > s2:
-                s1, s2 = s2, s1
-            remainder, _, steps = reduce_key(s1, s2)
-            if steps > max_steps:
-                max_steps = steps
-            if remainder is None:
-                reduced += 1
-                if records is not None:
-                    records.append(PairOutcome(i, j, "reduced", steps))
-            else:
-                outcome = PairOutcome(i, j, "stuck", steps)
-                failures.append(outcome)
-                if records is not None:
-                    records.append(outcome)
+    scan = _PairScan(reducer, strict, record_pairs)
+    scan.scan()
+    failures = scan.failures()
+    counts, histogram = scan.counts.tolist(), scan.histogram.tolist()
     return GroebnerCertificate(
         n=reducer.n,
-        size=m,
+        size=scan.m,
         strict=strict,
         is_groebner=not failures,
-        pairs_total=m * (m - 1) // 2,
-        reduced=reduced,
-        spoly_zero=spoly_zero,
-        skipped_coprime=skipped_coprime,
-        skipped_shared_trailing=skipped_shared,
-        max_steps=max_steps,
-        failures=tuple(failures),
-        pairs=tuple(records) if records is not None else None,
+        pairs_total=scan.pairs_total,
+        reduced=counts[_REDUCED],
+        spoly_zero=counts[_ZERO],
+        skipped_coprime=counts[_COPRIME],
+        skipped_shared_trailing=counts[_SHARED],
+        max_steps=max(len(histogram) - 1, 0),
+        failures=failures,
+        pairs=scan.records() if record_pairs else None,
+        step_histogram=tuple(histogram),
     )
 
 

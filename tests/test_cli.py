@@ -5,9 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clawtoric
 from clawtoric.cli import (
     ENV_CAP,
     RunConfig,
@@ -235,6 +240,33 @@ def test_verify_groebner_strict_flag(capsys):
     assert code == 0
     assert "strict" in out
     assert "skipped coprime:        0" in out
+
+
+# sha256 of the `clawtoric verify-groebner --n 5 --format json` certificates
+# (every pair recorded), as first released
+VERIFY_N5_JSON_SHA256 = {
+    "--strict": "b577c95ba2ed286143f85a03fb12a6e5f0ec193164ddb819407b182f942b9603",
+    "": "fcf503461b9dd062d81f77dd2fadf7b1124568bbcde265b903a13e5549082ace",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_N5_JSON_SHA256))
+def test_verify_groebner_json_certificate_bytes_at_five_leaves(capsys, mode):
+    argv = ["verify-groebner", "--n", "5", "--format", "json"] + ([mode] if mode else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_N5_JSON_SHA256[mode]
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = Path(clawtoric.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "clawtoric", "verify-groebner", "--n", "3"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "result: GROEBNER" in done.stdout
 
 
 def test_oracle_compare_passes(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from clawtoric import groebner
 from clawtoric.core import (
     Binomial,
     Monomial,
@@ -241,3 +242,156 @@ def test_distinct_leads_match_the_fiber_census():
         assert len(leads) == expected
         minima = {max(group, key=lambda m: m.key) for group in fibers}
         assert leads.isdisjoint(minima)
+
+
+# ---------------------------------------------------------------------------
+# the batched pair scan against the scalar engine
+# ---------------------------------------------------------------------------
+
+
+def scalar_pair_outcomes(basis, strict: bool) -> list[tuple[int, int, str, int]]:
+    """(i, j, rule, steps) of every S-pair, from s_polynomial and the scalar reducer."""
+    reducer = BinomialReducer(basis)
+    elements = reducer.elements
+    out = []
+    for i, f in enumerate(elements):
+        for j in range(i + 1, len(elements)):
+            g = elements[j]
+            if not strict and not set(f.plus.key) & set(g.plus.key):
+                out.append((i, j, "coprime-skip", 0))
+                continue
+            if not strict and set(f.minus.key) & set(g.minus.key):
+                out.append((i, j, "shared-trailing-skip", 0))
+                continue
+            s = s_polynomial(f, g)
+            if s is None:
+                out.append((i, j, "spoly-zero", 0))
+                continue
+            final, trace = reducer.normal_form_with_trace(s)
+            out.append((i, j, "reduced" if final is None else "stuck", len(trace.steps)))
+    return out
+
+
+def outcomes(cert) -> list[tuple[int, int, str, int]]:
+    return [(p.i, p.j, p.rule, p.steps) for p in cert.pairs]
+
+
+@pytest.mark.parametrize(
+    "n, strict",
+    [(3, True), (3, False), (4, True), (4, False), (5, True), (5, False), (6, False)],
+)
+def test_every_pair_matches_the_scalar_engine(n, strict):
+    basis = build_generators(n).sorted_generators()
+    cert = verify_groebner(basis, strict=strict, record_pairs=True)
+    expected = scalar_pair_outcomes(basis, strict)
+    assert outcomes(cert) == expected
+    assert list(cert.failures) == [p for p in cert.pairs if p.rule == "stuck"]
+
+
+def test_strict_six_leaf_certificate_is_pinned():
+    cert = verify_groebner(build_generators(6).sorted_generators(), strict=True)
+    counts = (cert.pairs_total, cert.reduced, cert.spoly_zero, len(cert.failures), cert.max_steps)
+    assert counts == (550_725, 508_849, 0, 41_876, 20)
+    assert cert.skipped_coprime == cert.skipped_shared_trailing == 0
+
+
+def test_strict_five_leaf_certificate_is_pinned():
+    cert = verify_groebner(build_generators(5).sorted_generators(), strict=True)
+    assert (len(cert.failures), cert.pairs_total) == (1_598, 18_915)
+
+
+@pytest.mark.parametrize("n, strict", [(4, True), (5, True), (5, False), (6, True), (6, False)])
+def test_step_histogram_counts_the_reduced_and_stuck_pairs(n, strict):
+    cert = verify_groebner(build_generators(n).sorted_generators(), strict=strict)
+    assert sum(cert.step_histogram) == cert.reduced + len(cert.failures)
+    assert len(cert.step_histogram) - 1 == cert.max_steps
+    assert cert.step_histogram[-1] > 0
+
+
+def test_step_histogram_matches_the_recorded_steps():
+    cert = verify_groebner(build_generators(5).sorted_generators(), strict=True, record_pairs=True)
+    counted = [0] * (cert.max_steps + 1)
+    for p in cert.pairs:
+        if p.rule in ("reduced", "stuck"):
+            counted[p.steps] += 1
+    assert cert.step_histogram == tuple(counted)
+
+
+def test_empty_and_one_element_bases_have_no_pairs():
+    for basis in ([], [binom("q_000*q_111 - q_011*q_100")]):
+        cert = verify_groebner(basis, strict=True, record_pairs=True)
+        assert cert.pairs_total == 0
+        assert cert.pairs == cert.failures == cert.step_histogram == ()
+        assert cert.is_groebner and cert.max_steps == 0
+
+
+def test_equal_leads_reduce_by_the_lowest_index_divisor():
+    basis = [
+        binom("q_000*q_111 - q_001*q_110"),
+        binom("q_000*q_111 - q_010*q_101"),
+        binom("q_001*q_110 - q_010*q_101"),
+        binom("q_001*q_110 - q_011*q_100"),
+    ]
+    assert BinomialReducer(basis).elements == tuple(basis)
+    for strict in (True, False):
+        cert = verify_groebner(basis, strict=strict, record_pairs=True)
+        assert outcomes(cert) == scalar_pair_outcomes(basis, strict)
+    by_pair = {(p.i, p.j): p for p in verify_groebner(basis, strict=True, record_pairs=True).pairs}
+    # equal leads: S(0, 1) = q_001*q_110 - q_010*q_101 has degree 2.  Both 2
+    # and 3 divide its lead; 2, the lower index, reduces it to zero in one
+    # step, where 3 would leave q_010*q_101 - q_011*q_100 stuck.
+    assert (by_pair[(0, 1)].rule, by_pair[(0, 1)].steps) == ("reduced", 1)
+    assert (by_pair[(2, 3)].rule, by_pair[(2, 3)].steps) == ("stuck", 0)
+
+
+def test_two_elements_at_sixteen_leaves_finish_at_once():
+    f = binom("q_0000000000000000*q_0000000000000111 - q_0000000000000011*q_0000000000000100")
+    g = binom("q_0000000000000000*q_1111111111111011 - q_0101010101010101*q_1010101010101010")
+    cert = verify_groebner([f, g], strict=True, record_pairs=True)
+    assert cert.n == 16 and cert.pairs_total == 1
+    assert outcomes(cert) == scalar_pair_outcomes([f, g], True)
+
+
+def test_verify_rejects_mixed_lengths_and_cubic_elements():
+    with pytest.raises(ValueError):
+        verify_groebner(
+            [binom("q_000*q_111 - q_011*q_100"), binom("q_0000*q_1111 - q_1001*q_0110")]
+        )
+    cubic = Binomial(
+        Monomial.of(Word(0, 3), Word(7, 3), Word(7, 3)),
+        Monomial.of(Word(3, 3), Word(4, 3), Word(7, 3)),
+    )
+    with pytest.raises(ValueError):
+        verify_groebner([binom("q_000*q_111 - q_011*q_100"), cubic], strict=True)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("strict", [True, False])
+def test_chunk_boundaries_do_not_change_the_certificate(monkeypatch, n, strict):
+    basis = build_generators(n).sorted_generators()
+    default = verify_groebner(basis, strict=strict, record_pairs=True)
+    monkeypatch.setattr(groebner, "_CHUNK_PAIRS", 7)
+    batches = []
+    reduce = groebner._PairScan.reduce
+
+    def spy(self, plus, minus, rule, steps):
+        batches.append(plus.shape[1])
+        return reduce(self, plus, minus, rule, steps)
+
+    monkeypatch.setattr(groebner._PairScan, "reduce", spy)
+    assert verify_groebner(basis, strict=strict, record_pairs=True) == default
+    # S-polynomials are reduced in batches of under two chunks, never all at once
+    skipped = default.skipped_coprime + default.skipped_shared_trailing
+    assert sum(batches) == default.pairs_total - skipped
+    assert max(batches) < 2 * 7
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("strict", [True, False])
+def test_binary_search_lookup_matches_the_dense_table(monkeypatch, n, strict):
+    basis = build_generators(n).sorted_generators()
+    default = verify_groebner(basis, strict=strict, record_pairs=True)
+    # no slack: the 4^n cells of G_n exceed four per element, so the scan searches
+    monkeypatch.setattr(groebner, "_TABLE_SLACK", 0)
+    assert groebner._PairScan(BinomialReducer(basis), strict, False).table is None
+    assert verify_groebner(basis, strict=strict, record_pairs=True) == default
