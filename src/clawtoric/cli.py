@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import MAX_LEAVES, Binomial, Monomial, Word, in_kernel
 from .groebner import BinomialReducer, GroebnerCertificate, verify_groebner
-from .ideal import Rows, build_generators
+from .ideal import Rows, build_generators, generator_count
 from .lattice import (
     LatticeBasis,
     build_lattice_basis,
@@ -29,6 +29,10 @@ from .matrix import IncidenceMatrix, build_matrix
 from .oracle import enumerate_quadratic_kernel, exact_rank, nullspace_dimension
 
 ENV_CAP = "CLAWTORIC_MAX_LEAVES"
+
+# verify-groebner --format json records every S-pair, about 1.3 KiB of peak
+# memory each (n = 6: 550 725 pairs, 688 MiB); n = 7 has 13 017 753
+MAX_RECORDED_PAIRS = 2_000_000
 
 _FORMATS = {
     "matrix": ("plain", "csv", "json"),
@@ -349,23 +353,33 @@ def run(config: RunConfig) -> int:
         raise ValueError(
             f"n must be in {smallest}..{config.cap} for {config.command}, got {config.n}"
         )
-    status = 0
-    if config.command == "matrix":
-        text = _render_matrix(config)
-    elif config.command == "lattice":
-        text = _render_lattice(config)
-    elif config.command in ("ideal", "export"):
-        text = _render_ideal(config)
-    elif config.command == "verify-groebner":
-        text, status = _run_verify(config)
-    elif config.command == "oracle-compare":
-        text, status = _run_oracle_compare(config)
-    else:
-        raise ValueError(f"unknown command {config.command!r}")
-    if config.out is not None:
-        Path(config.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if config.command == "verify-groebner" and config.format == "json":
+        m = generator_count(config.n)
+        pairs = m * (m - 1) // 2
+        if pairs > MAX_RECORDED_PAIRS:
+            raise ValueError(
+                f"verify-groebner --format json records every S-pair, and n = {config.n} "
+                f"has {pairs} (limit {MAX_RECORDED_PAIRS}); plain output has no such limit"
+            )
+    # opened before any work, so that an unwritable path fails at once
+    sink = (
+        nullcontext(sys.stdout) if config.out is None else open(config.out, "w", encoding="utf-8")
+    )
+    with sink as stream:
+        status = 0
+        if config.command == "matrix":
+            text = _render_matrix(config)
+        elif config.command == "lattice":
+            text = _render_lattice(config)
+        elif config.command in ("ideal", "export"):
+            text = _render_ideal(config)
+        elif config.command == "verify-groebner":
+            text, status = _run_verify(config)
+        elif config.command == "oracle-compare":
+            text, status = _run_oracle_compare(config)
+        else:
+            raise ValueError(f"unknown command {config.command!r}")
+        stream.write(text)
     return status
 
 
@@ -413,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--strict",
                 action="store_true",
-                help="reduce every S-pair; do not trust skip rules",
+                help="reduce every S-pair, coprime ones too",
             )
     return parser
 
@@ -436,6 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        target = "standard output" if args.out is None else args.out
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -210,7 +210,7 @@ class PairOutcome:
 
     i: int
     j: int
-    rule: str  # coprime-skip | shared-trailing-skip | spoly-zero | reduced | stuck
+    rule: str  # coprime-skip (default mode only) | spoly-zero | reduced | stuck
     steps: int
 
 
@@ -224,7 +224,7 @@ class GroebnerCertificate:
     reduced: int
     spoly_zero: int
     skipped_coprime: int
-    skipped_shared_trailing: int
+    skipped_shared_trailing: int  # always 0, no such rule; kept for the output formats
     max_steps: int
     failures: tuple[PairOutcome, ...]
     pairs: tuple[PairOutcome, ...] | None
@@ -233,8 +233,8 @@ class GroebnerCertificate:
 
 
 # Rule codes of the batched scan, in the order of _RULES.
-_RULES = ("coprime-skip", "shared-trailing-skip", "spoly-zero", "reduced", "stuck")
-_COPRIME, _SHARED, _ZERO, _REDUCED, _STUCK = range(len(_RULES))
+_RULES = ("coprime-skip", "spoly-zero", "reduced", "stuck")
+_COPRIME, _ZERO, _REDUCED, _STUCK = range(len(_RULES))
 # Pairs per chunk: the scan filters this many pairs at a time and reduces
 # S-polynomials of one degree once this many are queued, so its memory is
 # O(basis + chunk), never O(pairs).
@@ -293,7 +293,7 @@ class _PairScan:
     keeps every comparison and makes the keys independent of n.  A monomial
     of degree d is a sorted column of a (d, k) array.  Pairs are filtered
     chunk by chunk; the survivors are queued by S-polynomial degree (2 for
-    equal leads, 3 for one shared word, 4 for coprime leads), and each
+    equal leads, 3 for one word in common, 4 for coprime leads), and each
     reduction step rewrites every column of a queued batch at once, with
     the divisor the scalar engine picks: the lowest lead-sorted index whose
     lead is a pair of words of the current lead.
@@ -326,7 +326,7 @@ class _PairScan:
         rows = np.arange(m + 1, dtype=np.int64)
         self.row_start = rows * (2 * m - rows - 1) // 2
         self.pairs_total = int(self.row_start[-1])
-        # one int object per index, shared by every outcome that names it
+        # one int object per index, reused by every outcome that names it
         self.index = np.arange(m).astype(object)
         self.queues: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {2: [], 3: [], 4: []}
         self.counts = np.zeros(len(_RULES), np.int64)
@@ -407,17 +407,16 @@ class _PairScan:
     def scan(self) -> None:
         for start in range(0, self.pairs_total, _CHUNK_PAIRS):
             i, j = self.pairs(start, min(start + _CHUNK_PAIRS, self.pairs_total))
-            a1, b1, c1, d1 = self.basis[:, i]
-            a2, b2, c2, d2 = self.basis[:, j]
+            a1, b1 = self.basis[:2, i]
+            a2, b2 = self.basis[:2, j]
             equal = (a1 == a2) & (b1 == b2)
             coprime = ~((a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2))
-            if not self.strict:
-                trailing = ~coprime & ((c1 == c2) | (c1 == d2) | (d1 == c2) | (d1 == d2))
-                skipped = coprime | trailing
-                rule = np.where(coprime, _COPRIME, _SHARED).astype(np.int8)[skipped]
-                self.tally(i[skipped], j[skipped], rule, np.zeros(rule.size, np.int64))
-                i, j, equal, coprime = i[~skipped], j[~skipped], equal[~skipped], coprime[~skipped]
-            for degree, mask in ((2, equal), (3, ~coprime & ~equal), (4, coprime)):
+            classes = ((2, equal), (3, ~coprime & ~equal), (4, coprime))
+            if not self.strict:  # product criterion: coprime pairs need no reduction
+                k = int(coprime.sum())
+                self.tally(i[coprime], j[coprime], np.full(k, _COPRIME, np.int8), np.zeros(k, int))
+                classes = classes[:2]
+            for degree, mask in classes:
                 if mask.any():
                     self.queues[degree].append((i[mask], j[mask]))
                     if sum(q[0].size for q in self.queues[degree]) >= _CHUNK_PAIRS:
@@ -485,14 +484,13 @@ def verify_groebner(
 ) -> GroebnerCertificate:
     """Run the Buchberger criterion over every S-pair of the basis.
 
-    In strict mode every S-pair is reduced outright.  Otherwise two skip
-    rules apply first: coprime leads (the product criterion) and a shared
-    factor between the two trailing monomials.  Strict mode is the mode the
-    acceptance checks rely on; the skip rules are conveniences.
-
-    The pairs are scanned as integer arrays (see _PairScan); the rule and
-    step count of every pair are the ones the scalar reduction of
-    BinomialReducer gives.
+    Strict mode reduces every S-pair.  The default mode skips only the pairs
+    with coprime leads, which reduce to zero by Buchberger's product
+    criterion; that is sound for every basis, so its verdict is the strict
+    verdict, and pair by pair its record is the strict record with each
+    coprime pair relabelled coprime-skip (0 steps).  The pairs are scanned
+    as integer arrays (see _PairScan), each with the rule and step count
+    that the scalar reduction of BinomialReducer gives.
     """
     reducer = BinomialReducer(basis)
     scan = _PairScan(reducer, strict, record_pairs)
@@ -508,7 +506,7 @@ def verify_groebner(
         reduced=counts[_REDUCED],
         spoly_zero=counts[_ZERO],
         skipped_coprime=counts[_COPRIME],
-        skipped_shared_trailing=counts[_SHARED],
+        skipped_shared_trailing=0,
         max_steps=max(len(histogram) - 1, 0),
         failures=failures,
         pairs=scan.records() if record_pairs else None,

@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import clawtoric
+from clawtoric import cli
 from clawtoric.cli import (
     ENV_CAP,
+    MAX_RECORDED_PAIRS,
     RunConfig,
     binomial_from_dict,
     binomial_to_dict,
@@ -243,10 +245,11 @@ def test_verify_groebner_strict_flag(capsys):
 
 
 # sha256 of the `clawtoric verify-groebner --n 5 --format json` certificates
-# (every pair recorded), as first released
+# (every pair recorded); strict as first released, the default mode since it
+# skips coprime pairs only
 VERIFY_N5_JSON_SHA256 = {
     "--strict": "b577c95ba2ed286143f85a03fb12a6e5f0ec193164ddb819407b182f942b9603",
-    "": "fcf503461b9dd062d81f77dd2fadf7b1124568bbcde265b903a13e5549082ace",
+    "": "da598796239e7b0504d2dd77c17e70721b5e676dca85670d4e6e31e729a73669",
 }
 
 
@@ -256,6 +259,27 @@ def test_verify_groebner_json_certificate_bytes_at_five_leaves(capsys, mode):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_N5_JSON_SHA256[mode]
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+def test_json_certificate_refuses_more_pairs_than_it_can_hold(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_generators", refuse_to_run)
+    code, out, err = run_cli(capsys, "verify-groebner", "--n", "7", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "13017753" in err and "plain output has no such limit" in err
+    assert "Traceback" not in err
+
+
+def test_json_certificate_accepts_six_leaves(monkeypatch):
+    assert 550_725 <= MAX_RECORDED_PAIRS < 13_017_753
+    # past the size check, the run goes on to build the generators
+    monkeypatch.setattr(cli, "build_generators", refuse_to_run)
+    with pytest.raises(AssertionError, match="work started"):
+        run(RunConfig(command="verify-groebner", n=6, format="json"))
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
@@ -320,6 +344,24 @@ def test_out_flag_writes_the_same_bytes_to_a_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+@pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "matrix", "--n", "3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_path_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "verify_groebner", refuse_to_run)
+    target = str(tmp_path / "missing" / "cert.txt")
+    code, _, err = run_cli(capsys, "verify-groebner", "--n", "5", "--strict", "--out", target)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 # sha256 of `clawtoric ideal --n 7` in each format, as first released

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from clawtoric import groebner
@@ -14,6 +16,7 @@ from clawtoric.core import (
 )
 from clawtoric.groebner import (
     BinomialReducer,
+    PairOutcome,
     ReductionTrace,
     in_ideal,
     is_groebner,
@@ -186,6 +189,20 @@ def test_five_leaf_set_is_not_groebner():
     assert not is_groebner(gens.sorted_generators(), strict=True)
 
 
+def test_no_quadratic_lead_divides_the_five_leaf_obstruction():
+    # the leads of the degree-2 part of the ideal are exactly the leads of its
+    # quadratic kernel binomials, and a quadratic lead divides a cubic
+    # monomial exactly when its word pair lies in the cubic's word triple;
+    # none does, so no quadratic set is a lex Groebner basis at n = 5
+    r = binom("q_00011*q_01111*q_10000 - q_00111*q_01010*q_10001")
+    assert in_kernel(r)
+    leads = {b.plus.key for b in enumerate_quadratic_kernel(5)}
+    assert len(leads) == 195
+    inside = {pair for side in (r.plus, r.minus) for pair in combinations(side.key, 2)}
+    assert len(inside) == 6
+    assert not inside & leads
+
+
 def test_two_element_basis_with_a_stuck_pair_is_reported():
     f = binom("q_00000*q_00111 - q_00011*q_00100")
     g = binom("q_00000*q_11011 - q_01010*q_10001")
@@ -260,9 +277,6 @@ def scalar_pair_outcomes(basis, strict: bool) -> list[tuple[int, int, str, int]]
             if not strict and not set(f.plus.key) & set(g.plus.key):
                 out.append((i, j, "coprime-skip", 0))
                 continue
-            if not strict and set(f.minus.key) & set(g.minus.key):
-                out.append((i, j, "shared-trailing-skip", 0))
-                continue
             s = s_polynomial(f, g)
             if s is None:
                 out.append((i, j, "spoly-zero", 0))
@@ -286,6 +300,39 @@ def test_every_pair_matches_the_scalar_engine(n, strict):
     expected = scalar_pair_outcomes(basis, strict)
     assert outcomes(cert) == expected
     assert list(cert.failures) == [p for p in cert.pairs if p.rule == "stuck"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_default_mode_is_strict_mode_minus_the_coprime_pairs(n):
+    basis = build_generators(n).sorted_generators()
+    leads = [set(b.plus.key) for b in BinomialReducer(basis).elements]
+    strict = verify_groebner(basis, strict=True, record_pairs=True)
+    fast = verify_groebner(basis, record_pairs=True)
+    expected = [
+        p if leads[p.i] & leads[p.j] else PairOutcome(p.i, p.j, "coprime-skip", 0)
+        for p in strict.pairs
+    ]
+    assert list(fast.pairs) == expected
+    assert list(fast.failures) == [p for p in strict.failures if leads[p.i] & leads[p.j]]
+    assert fast.is_groebner is strict.is_groebner
+    assert fast.skipped_shared_trailing == 0
+
+
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        # pairs, coprime skipped, reduced, s-polynomial zero, stuck, max steps
+        (5, (18_915, 16_593, 2_087, 0, 235, 7)),
+        (6, (550_725, 516_189, 31_246, 0, 3_290, 11)),
+    ],
+)
+def test_default_mode_certificate_is_pinned(n, counts):
+    cert = verify_groebner(build_generators(n).sorted_generators())
+    assert (
+        cert.pairs_total, cert.skipped_coprime, cert.reduced, cert.spoly_zero,
+        len(cert.failures), cert.max_steps,
+    ) == counts
+    assert cert.skipped_shared_trailing == 0
 
 
 def test_strict_six_leaf_certificate_is_pinned():
