@@ -34,6 +34,11 @@ ENV_CAP = "CLAWTORIC_MAX_LEAVES"
 # memory each (n = 6: 550 725 pairs, 688 MiB); n = 7 has 13 017 753
 MAX_RECORDED_PAIRS = 2_000_000
 
+# ideal and export hold all of G_n and its whole text in memory; n = 10
+# (437 250 generators) takes 2 s and 285 MiB for JSON, n = 11 (1 834 503)
+# 11 s and 1.05 GiB, and n = 12 (7 597 590) would take about four times that
+MAX_GENERATORS = 2_000_000
+
 _FORMATS = {
     "matrix": ("plain", "csv", "json"),
     "lattice": ("plain", "csv", "json", "cas-script"),
@@ -360,6 +365,13 @@ def run(config: RunConfig) -> int:
             raise ValueError(
                 f"verify-groebner --format json records every S-pair, and n = {config.n} "
                 f"has {pairs} (limit {MAX_RECORDED_PAIRS}); plain output has no such limit"
+            )
+    if config.command in ("ideal", "export"):
+        count = generator_count(config.n)
+        if count > MAX_GENERATORS:
+            raise ValueError(
+                f"{config.command} holds the whole generating set, and n = {config.n} "
+                f"has {count} generators (limit {MAX_GENERATORS})"
             )
     # opened before any work, so that an unwritable path fails at once
     sink = (

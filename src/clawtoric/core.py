@@ -16,7 +16,7 @@ Variable orders used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 # Guard against accidental 2^n blowups; not a semantic limit.
@@ -111,6 +111,12 @@ def _cached_word(value: int, n: int) -> Word:
     return Word(value, n)
 
 
+@lru_cache(maxsize=None)
+def _word_table(n: int) -> tuple[Word, ...]:
+    """The interned words of length n, indexed by value."""
+    return tuple(_cached_word(v, n) for v in range(1 << n))
+
+
 def compare_words(w1: Word, w2: Word) -> int:
     """Sign of the coordinate comparison: +1 iff q_w1 > q_w2.
 
@@ -139,6 +145,8 @@ class Monomial:
 
     n: int
     words: tuple[Word, ...]
+    # ascending word values, set once; smaller key means lex-greater monomial
+    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -148,9 +156,11 @@ class Monomial:
                 raise ValueError(f"word length {w.n} does not match monomial n={n}")
             values.append(w.value)
         if values != sorted(values):
+            values.sort()
             object.__setattr__(
                 self, "words", tuple(sorted(self.words, key=lambda w: w.value))
             )
+        object.__setattr__(self, "key", tuple(values))
 
     @classmethod
     def of(cls, *words: Word) -> Monomial:
@@ -161,11 +171,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return len(self.words)
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Ascending word values; smaller key means lex-greater monomial."""
-        return tuple([w.value for w in self.words])
 
     def __mul__(self, other: Monomial) -> Monomial:
         if other.n != self.n:
@@ -232,6 +237,30 @@ def make_binomial(m1: Monomial, m2: Monomial) -> Binomial | None:
     return Binomial(m1, m2)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _checked_monomial(words: tuple[Word, ...], key: tuple[int, ...]) -> Monomial:
+    """A Monomial the caller has already checked: every word has one length
+    and key lists the words' values in ascending order."""
+    m = _new(Monomial)
+    _set(m, "n", words[0].n)
+    _set(m, "words", words)
+    _set(m, "key", key)
+    return m
+
+
+def _checked_binomial(plus: Monomial, minus: Monomial) -> Binomial:
+    """A Binomial the caller has already checked: both sides have the same
+    length and degree, and plus.key < minus.key (plus is the lex-greater
+    side, and the sides differ)."""
+    b = _new(Binomial)
+    _set(b, "plus", plus)
+    _set(b, "minus", minus)
+    return b
+
+
 # ---------------------------------------------------------------------------
 # the parametrization map and its kernel
 # ---------------------------------------------------------------------------
@@ -267,20 +296,48 @@ def _image_table(n: int, width: int) -> tuple[int, ...]:
 
 def in_kernel(b: Binomial) -> bool:
     """True iff both sides have the same parameter multiset."""
-    table = _image_table(b.n, b.degree.bit_length())
-    plus = sum([table[w.value] for w in b.plus.words])
-    return plus == sum([table[w.value] for w in b.minus.words])
+    plus, minus = b.plus.key, b.minus.key
+    if len(plus) == 2:
+        table = _image_table(b.plus.n, 2)
+        return table[plus[0]] + table[plus[1]] == table[minus[0]] + table[minus[1]]
+    table = _image_table(b.plus.n, len(plus).bit_length())
+    return sum([table[v] for v in plus]) == sum([table[v] for v in minus])
 
 
 def project(b: Binomial, position: int) -> Binomial | None:
     """Delete one position from every word; None when the sides collapse."""
-    if b.n < 3:
-        raise ValueError(f"projection needs word length >= 3, got {b.n}")
-    n = b.n
-    _check_position(position, n)
-
-    def shrink(m: Monomial) -> Monomial:
-        words = [_cached_word(_delete_bit(w.value, n, position), n - 1) for w in m.words]
-        return Monomial(n - 1, tuple(words))
-
-    return make_binomial(shrink(b.plus), shrink(b.minus))
+    plus, minus = b.plus.key, b.minus.key
+    n = b.plus.n
+    if n < 3:
+        raise ValueError(f"projection needs word length >= 3, got {n}")
+    if not 1 <= position <= n:
+        _check_position(position, n)
+    # v without its bit at the position, as _delete_bit does
+    low = (1 << (n - position)) - 1
+    high = ~low
+    words = _word_table(n - 1)
+    if len(plus) == 2:  # the quadratic case, four ints
+        a, c = plus
+        d, e = minus
+        a, c = ((a >> 1) & high) | (a & low), ((c >> 1) & high) | (c & low)
+        d, e = ((d >> 1) & high) | (d & low), ((e >> 1) & high) | (e & low)
+        plus = (a, c) if a <= c else (c, a)
+        minus = (d, e) if d <= e else (e, d)
+        if plus == minus:
+            return None
+        if plus > minus:
+            plus, minus = minus, plus
+        return _checked_binomial(
+            _checked_monomial((words[plus[0]], words[plus[1]]), plus),
+            _checked_monomial((words[minus[0]], words[minus[1]]), minus),
+        )
+    plus = tuple(sorted([((v >> 1) & high) | (v & low) for v in plus]))
+    minus = tuple(sorted([((v >> 1) & high) | (v & low) for v in minus]))
+    if plus == minus:
+        return None
+    if plus > minus:
+        plus, minus = minus, plus
+    return _checked_binomial(
+        _checked_monomial(tuple([words[v] for v in plus]), plus),
+        _checked_monomial(tuple([words[v] for v in minus]), minus),
+    )

@@ -9,10 +9,9 @@ in multiset arithmetic.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -234,11 +233,19 @@ class GroebnerCertificate:
 
 # Rule codes of the batched scan, in the order of _RULES.
 _RULES = ("coprime-skip", "spoly-zero", "reduced", "stuck")
+_RULE_NAMES = np.array(_RULES, dtype=object)
 _COPRIME, _ZERO, _REDUCED, _STUCK = range(len(_RULES))
-# Pairs per chunk: the scan filters this many pairs at a time and reduces
-# S-polynomials of one degree once this many are queued, so its memory is
-# O(basis + chunk), never O(pairs).
+# Pairs per chunk: the scan takes this many pairs at a time from the
+# lead-word index (and, in strict mode, from the walk over all pairs) and
+# reduces S-polynomials of one degree once this many are queued, so its
+# memory is O(basis + chunk), never O(pairs).
 _CHUNK_PAIRS = 4096
+
+
+def _chunks(total: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of consecutive chunks of _CHUNK_PAIRS numbers below total."""
+    return ((k, min(k + _CHUNK_PAIRS, total)) for k in range(0, total, _CHUNK_PAIRS))
+
 # The first-divisor lookup is a dense table over pairs of word ranks when
 # that has at most 4 cells per basis element plus this many (always so for
 # G_n), and a binary search over the packed leads otherwise.
@@ -291,12 +298,14 @@ class _PairScan:
 
     Words are replaced by their ranks among the basis's word values, which
     keeps every comparison and makes the keys independent of n.  A monomial
-    of degree d is a sorted column of a (d, k) array.  Pairs are filtered
-    chunk by chunk; the survivors are queued by S-polynomial degree (2 for
-    equal leads, 3 for one word in common, 4 for coprime leads), and each
-    reduction step rewrites every column of a queued batch at once, with
-    the divisor the scalar engine picks: the lowest lead-sorted index whose
-    lead is a pair of words of the current lead.
+    of degree d is a sorted column of a (d, k) array.  The pairs whose leads
+    share a word come from an index over lead words; in strict mode the
+    coprime pairs come from a chunked walk over all pairs.  Pairs are queued
+    by S-polynomial degree (2 for equal leads, 3 for one word in common, 4
+    for coprime leads), and each reduction step rewrites every column of a
+    queued batch at once, with the divisor the scalar engine picks: the
+    lowest lead-sorted index whose lead is a pair of words of the current
+    lead.
     """
 
     def __init__(self, reducer: BinomialReducer, strict: bool, record_pairs: bool):
@@ -326,18 +335,32 @@ class _PairScan:
         rows = np.arange(m + 1, dtype=np.int64)
         self.row_start = rows * (2 * m - rows - 1) // 2
         self.pairs_total = int(self.row_start[-1])
+        # the lead-word index: one entry (word, element) per distinct word of
+        # each lead, sorted by word and then by element, so that the elements
+        # whose leads hold a word form one block; entry p pairs with the later
+        # entries of its block, and word_start counts those pairs like row_start
+        lead0, lead1 = self.basis[0], self.basis[1]
+        two = np.flatnonzero(lead0 != lead1)
+        words = np.concatenate([lead0, lead1[two]])
+        owners = np.concatenate([np.arange(m, dtype=dtype), two.astype(dtype)])
+        order = np.lexsort((owners, words))
+        self.words, self.owners = words[order], owners[order]
+        block_end = np.searchsorted(self.words, self.words, side="right")
+        partners = block_end - np.arange(self.words.size) - 1
+        self.word_start = np.concatenate([[0], np.cumsum(partners, dtype=np.int64)])
         # one int object per index, reused by every outcome that names it
         self.index = np.arange(m).astype(object)
         self.queues: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {2: [], 3: [], 4: []}
         self.counts = np.zeros(len(_RULES), np.int64)
         self.histogram = np.zeros(0, np.int64)
-        # stuck pairs of each degree, each list in scan order
-        self.stuck: dict[int, list[PairOutcome]] = {2: [], 3: [], 4: []}
-        # rule code and step count of every pair, kept only to record the pairs
+        # (i, j, steps) of the stuck pairs, batch by batch
+        self.stuck: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # rule code and step count of every pair, kept only to record the pairs;
+        # in the default mode every pair the scan never reaches is coprime
         self.recorded: tuple[np.ndarray, np.ndarray] | None = None
         if record_pairs:
             self.recorded = (
-                np.empty(self.pairs_total, np.int8), np.empty(self.pairs_total, np.int64)
+                np.full(self.pairs_total, _COPRIME, np.int8), np.zeros(self.pairs_total, np.int64)
             )
 
     def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,6 +368,13 @@ class _PairScan:
         flat = np.arange(start, stop, dtype=np.int64)
         i = np.searchsorted(self.row_start, flat, side="right") - 1
         return i, flat - self.row_start[i] + i + 1
+
+    def lead_pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, shared word) of the lead-word index's pairs numbered start..stop-1."""
+        flat = np.arange(start, stop, dtype=np.int64)
+        p = np.searchsorted(self.word_start, flat, side="right") - 1
+        q = flat - self.word_start[p] + p + 1
+        return self.owners[p], self.owners[q], self.words[p]
 
     def first_divisor(self, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per column: the divisor index (m when none) and its position-pair code."""
@@ -404,25 +434,34 @@ class _PairScan:
             self.recorded[0][flat] = rule
             self.recorded[1][flat] = steps
 
+    def queue(self, degree: int, i: np.ndarray, j: np.ndarray) -> None:
+        if i.size:
+            queue = self.queues[degree]
+            queue.append((i, j))
+            if sum(q[0].size for q in queue) >= _CHUNK_PAIRS:
+                self.flush(degree)
+
     def scan(self) -> None:
-        for start in range(0, self.pairs_total, _CHUNK_PAIRS):
-            i, j = self.pairs(start, min(start + _CHUNK_PAIRS, self.pairs_total))
+        for start, stop in _chunks(int(self.word_start[-1])):
+            i, j, word = self.lead_pairs(start, stop)
             a1, b1 = self.basis[:2, i]
-            a2, b2 = self.basis[:2, j]
-            equal = (a1 == a2) & (b1 == b2)
-            coprime = ~((a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2))
-            classes = ((2, equal), (3, ~coprime & ~equal), (4, coprime))
-            if not self.strict:  # product criterion: coprime pairs need no reduction
-                k = int(coprime.sum())
-                self.tally(i[coprime], j[coprime], np.full(k, _COPRIME, np.int8), np.zeros(k, int))
-                classes = classes[:2]
-            for degree, mask in classes:
-                if mask.any():
-                    self.queues[degree].append((i[mask], j[mask]))
-                    if sum(q[0].size for q in self.queues[degree]) >= _CHUNK_PAIRS:
-                        self.flush(degree)
+            equal = (a1 == self.basis[0, j]) & (b1 == self.basis[1, j])
+            # equal leads of two words meet in both words' blocks; the
+            # smaller word's block keeps the pair
+            keep = equal & (word == a1)
+            self.queue(2, i[keep], j[keep])
+            self.queue(3, i[~equal], j[~equal])
+        if self.strict:
+            for start, stop in _chunks(self.pairs_total):
+                i, j = self.pairs(start, stop)
+                a1, b1 = self.basis[:2, i]
+                a2, b2 = self.basis[:2, j]
+                coprime = ~((a1 == a2) | (a1 == b2) | (b1 == a2) | (b1 == b2))
+                self.queue(4, i[coprime], j[coprime])
         for degree in self.queues:
             self.flush(degree)
+        if not self.strict:  # product criterion: the pairs never queued need no reduction
+            self.counts[_COPRIME] = self.pairs_total - self.counts.sum()
 
     def s_polynomials(self, degree: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
         """The two sides of the S-polynomial of each pair (i, j) of one degree."""
@@ -450,30 +489,51 @@ class _PairScan:
         self.reduce(*self.s_polynomials(degree, i, j), rule, steps)
         self.tally(i, j, rule, steps)
         stuck = rule == _STUCK
-        self.stuck[degree].extend(
-            PairOutcome(a, b, "stuck", s)
-            for a, b, s in zip(self.index[i[stuck]], self.index[j[stuck]], steps[stuck].tolist())
-        )
+        if stuck.any():
+            # kept in the smallest types that hold them until failures() builds objects
+            index_type = np.min_scalar_type(self.m)
+            taken = steps[stuck]
+            self.stuck.append((
+                i[stuck].astype(index_type),
+                j[stuck].astype(index_type),
+                taken.astype(np.min_scalar_type(int(taken.max()))),
+            ))
+
+    def outcomes(
+        self, i: np.ndarray, j: np.ndarray, rules: Iterable[str], steps: np.ndarray
+    ) -> Iterator[PairOutcome]:
+        return map(PairOutcome, self.index[i], self.index[j], rules, steps.tolist())
 
     def failures(self) -> tuple[PairOutcome, ...]:
-        """The stuck pairs of all degrees, in scan order."""
-        return tuple(heapq.merge(*self.stuck.values(), key=lambda p: (p.i, p.j)))
+        """The stuck pairs, in scan order; called once, it frees the stuck batches."""
+        if not self.stuck:
+            return ()
+        i, j, steps = (np.concatenate(column) for column in zip(*self.stuck))
+        self.stuck.clear()
+        order = np.lexsort((j, i))
+        i, j, steps = i[order], j[order], steps[order]
+        del order
+        # built a chunk at a time, so that no full-length list is made on the way
+        return tuple(
+            itertools.chain.from_iterable(
+                self.outcomes(
+                    i[start:stop], j[start:stop], itertools.repeat("stuck"), steps[start:stop]
+                )
+                for start, stop in _chunks(i.size)
+            )
+        )
 
     def records(self) -> tuple[PairOutcome, ...]:
         """Every pair's outcome, in scan order; needs record_pairs."""
         rule, steps = self.recorded
-        out: list[PairOutcome] = []
-        for start in range(0, self.pairs_total, _CHUNK_PAIRS):
-            stop = min(start + _CHUNK_PAIRS, self.pairs_total)
-            i, j = self.pairs(start, stop)
-            out.extend(
-                PairOutcome(a, b, _RULES[r], s)
-                for a, b, r, s in zip(
-                    self.index[i], self.index[j], rule[start:stop].tolist(),
-                    steps[start:stop].tolist(),
+        return tuple(
+            itertools.chain.from_iterable(
+                self.outcomes(
+                    *self.pairs(start, stop), _RULE_NAMES[rule[start:stop]], steps[start:stop]
                 )
+                for start, stop in _chunks(self.pairs_total)
             )
-        return tuple(out)
+        )
 
 
 def verify_groebner(

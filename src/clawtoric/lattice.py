@@ -65,11 +65,14 @@ _TAIL = np.array([1, 0, 0, -1, -1, 0, 0, 1], dtype=np.int8)
 
 
 def _validate_rows(k: int, rows: np.ndarray) -> None:
-    incidence = build_matrix(k).entries.astype(np.int32)
-    products = incidence @ rows.T.astype(np.int32)
-    if products.any():
-        bad = int(np.nonzero(products.any(axis=0))[0][0])
-        raise RuntimeError(f"lattice row {bad + 1} for n={k} is not in the kernel")
+    # rows @ incidence.T, summed over the nonzero entries only (four per row)
+    incidence = build_matrix(k).entries
+    r, c = np.nonzero(rows)
+    products = np.zeros((rows.shape[0], incidence.shape[0]), dtype=np.int64)
+    np.add.at(products, r, incidence[:, c].T * rows[r, c].astype(np.int64)[:, None])
+    bad = products.any(axis=1)
+    if bad.any():
+        raise RuntimeError(f"lattice row {int(np.argmax(bad)) + 1} for n={k} is not in the kernel")
 
 
 def _zero_columns(k: int, i: int) -> np.ndarray:

@@ -19,12 +19,17 @@ import numpy as np
 from .core import Binomial, Monomial, Word, param_image_monomial
 from .matrix import IncidenceMatrix
 
+
+def _check_integer_dtype(matrix: np.ndarray) -> None:
+    if not np.issubdtype(matrix.dtype, np.integer):
+        raise ValueError(f"expected integer entries, got dtype {matrix.dtype}")
+
+
 def _as_int_rows(matrix) -> list[list[int]]:
     if isinstance(matrix, IncidenceMatrix):
         matrix = matrix.entries
     if isinstance(matrix, np.ndarray):
-        if not np.issubdtype(matrix.dtype, np.integer):
-            raise ValueError(f"expected integer entries, got dtype {matrix.dtype}")
+        _check_integer_dtype(matrix)
         return matrix.tolist()
     rows: list[list[int]] = []
     for row in matrix:
@@ -44,11 +49,17 @@ def _as_int_rows(matrix) -> list[list[int]]:
     return rows
 
 
-def _trailing_echelon_rank(rows: list[list[int]]) -> int | None:
+def _trailing_echelon_rank(rows: list[list[int]] | np.ndarray) -> int | None:
     # If every row is nonzero and the trailing-nonzero columns are pairwise
     # distinct, the rows are independent (look at the largest such column in
     # any vanishing combination), so the rank is the row count.  Exact, and
     # O(nonzeros); this is what makes the big lattice bases checkable.
+    if isinstance(rows, np.ndarray):
+        nonzero = rows != 0
+        if not nonzero.any(axis=1).all():
+            return None
+        last = rows.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+        return len(rows) if np.unique(last).size == len(rows) else None
     seen: set[int] = set()
     for row in rows:
         last = None
@@ -92,6 +103,15 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 def exact_rank(matrix) -> int:
     """Rank over the rationals, exactly."""
+    if isinstance(matrix, IncidenceMatrix):
+        matrix = matrix.entries
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
+        # the trailing test runs on the array; only elimination needs Python ints
+        _check_integer_dtype(matrix)
+        if not matrix.size:
+            return 0
+        fast = _trailing_echelon_rank(matrix)
+        return fast if fast is not None else _bareiss_rank(_as_int_rows(matrix))
     rows = _as_int_rows(matrix)
     if not rows or not rows[0]:
         return 0

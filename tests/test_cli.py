@@ -16,6 +16,7 @@ import clawtoric
 from clawtoric import cli
 from clawtoric.cli import (
     ENV_CAP,
+    MAX_GENERATORS,
     MAX_RECORDED_PAIRS,
     RunConfig,
     binomial_from_dict,
@@ -280,6 +281,32 @@ def test_json_certificate_accepts_six_leaves(monkeypatch):
     monkeypatch.setattr(cli, "build_generators", refuse_to_run)
     with pytest.raises(AssertionError, match="work started"):
         run(RunConfig(command="verify-groebner", n=6, format="json"))
+
+
+@pytest.mark.parametrize("command", ["ideal", "export"])
+@pytest.mark.parametrize("n, count", [(12, 7_597_590), (16, 2_083_011_870)])
+def test_ideal_and_export_refuse_more_generators_than_they_can_hold(
+    capsys, monkeypatch, tmp_path, command, n, count
+):
+    monkeypatch.setattr(cli, "build_generators", refuse_to_run)
+    out_file = tmp_path / "never.txt"
+    code, out, err = run_cli(
+        capsys, command, "--n", str(n), "--format", "json", "--out", str(out_file)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{count} generators" in err and f"limit {MAX_GENERATORS}" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_ideal_accepts_ten_and_eleven_leaves(monkeypatch, n):
+    assert 1_834_503 <= MAX_GENERATORS < 7_597_590
+    monkeypatch.setattr(cli, "build_generators", refuse_to_run)
+    for command in ("ideal", "export"):
+        with pytest.raises(AssertionError, match="work started"):
+            run(RunConfig(command=command, n=n, format="json"))
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

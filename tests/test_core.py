@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -336,3 +337,66 @@ def test_projection_at_a_constant_leaf_stays_in_the_kernel():
                     image = project(bi, i)
                     assert image is None or in_kernel(image)
     assert seen > 0
+
+
+def reference_projection(b: Binomial, position: int) -> Binomial | None:
+    """Delete the position word by word with Word.delete, then canonicalize."""
+    def shrink(m: Monomial) -> Monomial:
+        return Monomial(m.n - 1, tuple(word.delete(position) for word in m.words))
+
+    return make_binomial(shrink(b.plus), shrink(b.minus))
+
+
+def same_object_value(got: Binomial | None, want: Binomial | None) -> None:
+    assert got == want
+    if want is not None:
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want) and str(got) == str(want)
+        assert got.plus.key == want.plus.key and got.minus.key == want.minus.key
+
+
+def test_projection_equals_word_deletion_on_every_g5_generator():
+    from clawtoric.ideal import build_generators
+
+    for b in build_generators(5).sorted_generators():
+        for position in range(1, 6):
+            same_object_value(project(b, position), reference_projection(b, position))
+
+
+def test_projection_equals_word_deletion_on_cubic_binomials():
+    rng = random.Random(5)
+    seen_none = 0
+    for _ in range(500):
+        n = rng.randrange(3, 7)
+        plus = mono(*(format(rng.randrange(1 << n), f"0{n}b") for _ in range(3)))
+        minus = mono(*(format(rng.randrange(1 << n), f"0{n}b") for _ in range(3)))
+        b = make_binomial(plus, minus)
+        if b is None:
+            continue
+        for position in range(1, n + 1):
+            want = reference_projection(b, position)
+            seen_none += want is None
+            same_object_value(project(b, position), want)
+    assert seen_none > 0
+
+
+def test_projection_where_both_sides_collapse():
+    # the two sides differ only at leaf 3, so both shrink to q_00*q_10
+    b = binom(("000", "101"), ("001", "100"))
+    assert reference_projection(b, 3) is None and project(b, 3) is None
+    assert project(binom(("000", "111"), ("010", "101")), 2) is None
+
+
+def test_projection_rejects_short_words():
+    with pytest.raises(ValueError, match="word length >= 3"):
+        project(binom(("00", "11"), ("01", "10")), 1)
+
+
+def test_monomial_key_is_stored_but_not_compared_or_shown():
+    m = mono("111", "000", "011")
+    assert m.key == (0, 3, 7)
+    assert repr(m) == f"Monomial(n=3, words={m.words!r})"
+    assert m == Monomial(3, (w("000"), w("011"), w("111")))
+    assert hash(m) == hash(Monomial(3, (w("011"), w("111"), w("000"))))
+    with pytest.raises(TypeError):
+        Monomial(3, (w("000"),), key=(0,))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -442,3 +445,171 @@ def test_binary_search_lookup_matches_the_dense_table(monkeypatch, n, strict):
     monkeypatch.setattr(groebner, "_TABLE_SLACK", 0)
     assert groebner._PairScan(BinomialReducer(basis), strict, False).table is None
     assert verify_groebner(basis, strict=strict, record_pairs=True) == default
+
+
+# ---------------------------------------------------------------------------
+# the lead-word index of the pair scan
+# ---------------------------------------------------------------------------
+
+
+def test_default_seven_leaf_certificate_is_pinned():
+    cert = verify_groebner(build_generators(7).sorted_generators())
+    assert (
+        cert.pairs_total, cert.skipped_coprime, cert.reduced, cert.spoly_zero,
+        len(cert.failures), cert.max_steps,
+    ) == (13_017_753, 12_607_995, 368_626, 0, 41_132, 15)
+    assert cert.step_histogram == (
+        7692, 39734, 133330, 125903, 56438, 28805, 9945, 4861, 1753, 881, 141, 230, 7, 36, 0, 2
+    )
+    # the stuck list, measured with the scan that walked every pair in order
+    stuck = repr([(f.i, f.j, f.steps) for f in cert.failures]).encode()
+    assert hashlib.sha256(stuck).hexdigest() == (
+        "2e4cce391a1e1d2556453adb3e3665077891cc26519e98ca6be0a5bb184576d0"
+    )
+
+
+def words_basis(n: int, rows) -> list[Binomial]:
+    return [
+        Binomial(Monomial(n, (Word(a, n), Word(b, n))), Monomial(n, (Word(c, n), Word(d, n))))
+        for a, b, c, d in rows
+    ]
+
+
+# Hand-made bases for the lead-word index: square leads, three equal leads,
+# and words shared at the first position of one lead and the second of another.
+HAND_BASES = {
+    "square leads": words_basis(3, [
+        (0, 0, 1, 2), (0, 3, 1, 6), (3, 3, 4, 7), (0, 7, 3, 4), (7, 7, 5, 6), (3, 7, 5, 5),
+    ]),
+    "three equal leads": words_basis(3, [
+        (0, 3, 1, 6), (0, 3, 2, 5), (0, 3, 4, 4), (1, 3, 2, 7), (0, 1, 2, 2), (3, 5, 6, 6),
+    ]),
+    "first and second position": words_basis(4, [
+        (1, 5, 2, 9), (5, 9, 6, 7), (2, 5, 3, 12), (5, 5, 6, 10), (9, 14, 10, 11),
+        (0, 1, 3, 8), (1, 9, 4, 4), (0, 15, 6, 9),
+    ]),
+}
+
+
+def random_basis(seed: int, n: int, m: int) -> list[Binomial]:
+    """m distinct quadratic binomials on few words, so that leads often meet."""
+    rng = random.Random(seed)
+    top = 1 << n
+    rows = set()
+    while len(rows) < m:
+        plus = tuple(sorted(rng.randrange(top) for _ in range(2)))
+        minus = tuple(sorted(rng.randrange(top) for _ in range(2)))
+        if plus != minus:
+            rows.add(min(plus, minus) + max(plus, minus))
+    return words_basis(n, sorted(rows))
+
+
+def strict_minus_coprime(basis) -> tuple[list[PairOutcome], list[PairOutcome]]:
+    """The strict record and stuck list with the coprime pairs relabelled."""
+    leads = [set(b.plus.key) for b in BinomialReducer(basis).elements]
+    strict = verify_groebner(basis, strict=True, record_pairs=True)
+    pairs = [
+        p if leads[p.i] & leads[p.j] else PairOutcome(p.i, p.j, "coprime-skip", 0)
+        for p in strict.pairs
+    ]
+    return pairs, [p for p in strict.failures if leads[p.i] & leads[p.j]]
+
+
+BASES = [*HAND_BASES, *(f"random {seed}" for seed in range(6))]
+
+
+def named_basis(name: str) -> list[Binomial]:
+    if name in HAND_BASES:
+        return HAND_BASES[name]
+    seed = int(name.split()[1])
+    return random_basis(seed, 3 + seed % 2, 25 + 5 * seed)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", BASES)
+def test_lead_word_pairs_are_strict_mode_minus_the_coprime_pairs(monkeypatch, name, chunk):
+    basis = named_basis(name)
+    if chunk is not None:
+        monkeypatch.setattr(groebner, "_CHUNK_PAIRS", chunk)
+    pairs, failures = strict_minus_coprime(basis)
+    fast = verify_groebner(basis, record_pairs=True)
+    assert list(fast.pairs) == pairs
+    assert list(fast.failures) == failures
+    # every shared pair is reduced once: the counts are those of the record
+    rules = Counter(p.rule for p in pairs)
+    assert (
+        fast.skipped_coprime, fast.spoly_zero, fast.reduced, len(fast.failures)
+    ) == (rules["coprime-skip"], rules["spoly-zero"], rules["reduced"], rules["stuck"])
+    steps = Counter(p.steps for p in pairs if p.rule in ("reduced", "stuck"))
+    assert fast.step_histogram == tuple(steps[k] for k in range(fast.max_steps + 1))
+    assert outcomes(fast) == scalar_pair_outcomes(basis, False)
+    # without records the counts are the same
+    plain = verify_groebner(basis)
+    assert plain.failures == fast.failures
+    assert (plain.skipped_coprime, plain.reduced, plain.spoly_zero, plain.step_histogram) == (
+        fast.skipped_coprime, fast.reduced, fast.spoly_zero, fast.step_histogram
+    )
+
+
+def test_lead_word_index_lists_each_shared_pair_once():
+    for name in BASES:
+        basis = named_basis(name)
+        scan = groebner._PairScan(BinomialReducer(basis), False, False)
+        total = int(scan.word_start[-1])
+        i, j, word = scan.lead_pairs(0, total)
+        lead0, lead1 = scan.basis[0], scan.basis[1]
+        equal = (lead0[i] == lead0[j]) & (lead1[i] == lead1[j])
+        keep = ~equal | (word == lead0[i])
+        found = sorted(zip(i[keep].tolist(), j[keep].tolist()))
+        leads = [set(b.plus.key) for b in BinomialReducer(basis).elements]
+        expected = [
+            (a, b) for a in range(len(leads)) for b in range(a + 1, len(leads))
+            if leads[a] & leads[b]
+        ]
+        assert found == expected, name
+
+
+def forbid_the_full_walk(monkeypatch):
+    def walk(self, start, stop):
+        raise AssertionError("default mode walked over every pair")
+
+    monkeypatch.setattr(groebner._PairScan, "pairs", walk)
+
+
+def test_default_mode_never_walks_every_pair(monkeypatch):
+    forbid_the_full_walk(monkeypatch)
+    cert = verify_groebner(build_generators(6).sorted_generators())
+    assert (
+        cert.pairs_total, cert.skipped_coprime, cert.reduced, cert.spoly_zero,
+        len(cert.failures), cert.max_steps,
+    ) == (550_725, 516_189, 31_246, 0, 3_290, 11)
+
+
+def test_default_mode_scales_with_the_shared_pairs_not_all_pairs(monkeypatch):
+    # 20 010 elements at n = 16, about 2e8 pairs; the leads (k, 65535 - k)
+    # are pairwise coprime, and ten more leads (k, 65534 - k) meet two each
+    n, m = 16, 20_000
+    rows = [(k, 65535 - k, k + 1, 65535 - k) for k in range(m)]
+    rows += [(k, 65534 - k, k + 2, 65534 - k) for k in range(10)]
+    basis = words_basis(n, rows)
+    reducer = BinomialReducer(basis)
+    leads = [b.plus.key for b in reducer.elements]
+    holders: dict[int, list[int]] = {}
+    for index, lead in enumerate(leads):
+        for v in set(lead):
+            holders.setdefault(v, []).append(index)
+    shared = sorted({(a, b) for h in holders.values() for a in h for b in h if a < b})
+    assert len(shared) == 20
+    expected = []
+    for a, b in shared:
+        final, trace = reducer.normal_form_with_trace(
+            s_polynomial(reducer.elements[a], reducer.elements[b])
+        )
+        if final is not None:
+            expected.append(PairOutcome(a, b, "stuck", len(trace.steps)))
+    forbid_the_full_walk(monkeypatch)
+    cert = verify_groebner(basis)
+    assert cert.pairs_total == len(rows) * (len(rows) - 1) // 2
+    assert cert.skipped_coprime == cert.pairs_total - len(shared)
+    assert cert.reduced + cert.spoly_zero + len(cert.failures) == len(shared)
+    assert list(cert.failures) == expected

@@ -334,3 +334,60 @@ def test_fixed_positions_examples():
     assert fixed_positions(binom("q_0000*q_1111 - q_1001*q_0110")) == ()
     assert is_fully_complementary(binom("q_0000*q_1111 - q_1001*q_0110"))
     assert not is_fully_complementary(binom("q_0000*q_0111 - q_0100*q_0011"))
+
+
+# ---------------------------------------------------------------------------
+# generator objects built from checked rows
+# ---------------------------------------------------------------------------
+
+
+def public_binomial(n: int, row) -> Binomial:
+    a, b, c, d = (Word(v, n) for v in row)
+    return Binomial(Monomial(n, (a, b)), Monomial(n, (c, d)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_objects_from_rows_equal_the_public_constructors(n):
+    gens = build_generators(n)
+    rows = np.concatenate([gens.fixed_rows, gens.complementary_rows])
+    built = gens.sorted_generators()
+    assert len(built) == len(rows)
+    for b, row in zip(built, rows.tolist()):
+        want = public_binomial(n, row)
+        assert b == want and hash(b) == hash(want)
+        assert repr(b) == repr(want) and str(b) == str(want)
+        assert (b.plus.key, b.minus.key) == (want.plus.key, want.minus.key)
+        assert all(w.n == n for m in (b.plus, b.minus) for w in m.words)
+        assert b.degree == 2 and b.n == n
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((0, 7, 3, 8), "out of range"),
+        ((-1, 7, 3, 4), "out of range"),
+        ((7, 0, 3, 4), "ascending"),
+        ((0, 7, 4, 3), "ascending"),
+        ((3, 4, 0, 7), "lex-greater"),
+        ((0, 7, 0, 5), "lex-greater"),
+        ((0, 7, 0, 7), "equal"),
+    ],
+)
+def test_rows_that_are_not_canonical_binomials_are_refused(row, message):
+    good = [(0, 7, 3, 4), (1, 6, 3, 4)]
+    rows = np.array(good + [row], dtype=np.int64)
+    with pytest.raises(ValueError, match=f"row 2: .*{message}"):
+        ideal._binomials(3, rows)
+    # the public constructors refuse or rewrite the same rows
+    a, b, c, d = row
+    if all(0 <= v < 8 for v in row):
+        if (a, b) == (c, d):
+            with pytest.raises(ValueError):
+                public_binomial(3, row)
+        else:
+            built = public_binomial(3, row)
+            assert (*built.plus.key, *built.minus.key) != row
+    with pytest.raises(ValueError):
+        GeneratorSet(3, np.empty((0, 4), dtype=np.int64), rows).complementary
+    assert len(ideal._binomials(3, np.array(good, dtype=np.int64))) == 2
+    assert ideal._binomials(3, np.empty((0, 4), dtype=np.int64)) == ()

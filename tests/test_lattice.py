@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from clawtoric import lattice
 from clawtoric.core import Binomial, Monomial, Word, in_kernel
 from clawtoric.lattice import (
     build_lattice_basis,
@@ -138,3 +139,55 @@ def test_binomial_word_orientation_matches_the_rows():
         Monomial.of(Word(2, 3), Word(5, 3)), Monomial.of(Word(3, 3), Word(4, 3))
     )
     assert first == expected
+
+
+# ---------------------------------------------------------------------------
+# the kernel check of the construction
+# ---------------------------------------------------------------------------
+
+
+def dense_first_bad_row(n: int, rows: np.ndarray) -> int | None:
+    """1-based first row outside the kernel, from the whole matrix product."""
+    products = build_matrix(n).entries.astype(np.int64) @ rows.T.astype(np.int64)
+    bad = np.nonzero(products.any(axis=0))[0]
+    return int(bad[0]) + 1 if bad.size else None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_a_corrupted_row_is_reported_like_the_dense_product(n):
+    rows = lattice._build(n)
+    lattice._validate_rows(n, rows)
+    rng = np.random.default_rng(n)
+    for trial in range(6):
+        bad = rows.copy()
+        # corrupt one to three rows: move an entry, flip a sign, or add one
+        for r in sorted(rng.choice(len(rows), size=1 + trial % 3, replace=False)):
+            support = np.flatnonzero(bad[r])
+            c = int(rng.choice(support))
+            if trial % 3 == 0:
+                free = np.flatnonzero(bad[r] == 0)
+                bad[r, int(rng.choice(free))], bad[r, c] = bad[r, c], 0
+            elif trial % 3 == 1:
+                bad[r, c] = -bad[r, c]
+            else:
+                bad[r, int(rng.choice(np.flatnonzero(bad[r] == 0)))] = 1
+        first = dense_first_bad_row(n, bad)
+        assert first is not None
+        with pytest.raises(RuntimeError) as info:
+            lattice._validate_rows(n, bad)
+        assert str(info.value) == f"lattice row {first} for n={n} is not in the kernel"
+
+
+def test_entries_beyond_one_are_summed_exactly():
+    rows = lattice._build(4).copy()
+    # the sum of two kernel rows is in the kernel, with entries of -2
+    rows[0] = rows[0] + rows[1]
+    assert np.abs(rows[0]).max() == 2 and dense_first_bad_row(4, rows) is None
+    lattice._validate_rows(4, rows)
+    # 2*q_0000 - q_0011 - q_0101 cancels in the column sums of the incidence
+    # matrix but not in every row of it
+    rows[0] = 0
+    rows[0, [0, 3, 5]] = (2, -1, -1)
+    assert dense_first_bad_row(4, rows) == 1
+    with pytest.raises(RuntimeError, match="lattice row 1 for n=4"):
+        lattice._validate_rows(4, rows)

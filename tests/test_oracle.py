@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clawtoric import oracle
 from clawtoric.core import Word, in_kernel, param_image_monomial
 from clawtoric.lattice import build_lattice_basis, expected_row_count
 from clawtoric.matrix import build_matrix
@@ -185,3 +186,72 @@ def test_word_list_matches_column_labels():
     fibers = kernel_fibers(3)
     seen = {w for members in fibers.values() for m in members for w in m.words}
     assert seen == {Word(v, 3) for v in range(8)}
+
+
+# ---------------------------------------------------------------------------
+# the trailing test on integer arrays
+# ---------------------------------------------------------------------------
+
+RANK_DTYPES = (np.int8, np.uint8, np.int16, np.int32, np.int64)
+
+
+def random_integer_matrix(rng: np.random.Generator, dtype) -> np.ndarray:
+    rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+    info = np.iinfo(dtype)
+    low, high = max(info.min, -3), min(info.max, 3)
+    a = rng.integers(low, high + 1, size=(rows, cols)).astype(dtype)
+    a[rng.random(a.shape) < 0.4] = 0
+    shape = int(rng.integers(4))
+    if shape == 0:
+        # distinct trailing columns: the trailing test decides
+        for r in range(rows):
+            last = cols - 1 - r if r < cols else None
+            if last is not None:
+                a[r, last + 1 :] = 0
+                a[r, last] = a[r, last] or 1
+    elif shape == 1:
+        a[int(rng.integers(rows))] = 0  # a zero row
+    elif shape == 2 and rows > 1:
+        a[1] = a[0]  # a repeated row, so a repeated trailing column
+    if dtype is np.int64 and rng.random() < 0.5:
+        a *= np.int64(1) << int(rng.integers(31, 40))  # entries beyond int32
+    return a
+
+
+def test_rank_of_integer_arrays_equals_the_elimination():
+    rng = np.random.default_rng(20071)
+    fast = slow = 0
+    for trial in range(400):
+        a = random_integer_matrix(rng, RANK_DTYPES[trial % len(RANK_DTYPES)])
+        expected = oracle._bareiss_rank(a.tolist())
+        assert exact_rank(a) == expected, a
+        if oracle._trailing_echelon_rank(a) is None:
+            slow += 1
+        else:
+            fast += 1
+            assert expected == len(a)
+    assert fast > 50 and slow > 50
+
+
+def test_trailing_test_on_arrays_needs_no_python_ints(monkeypatch):
+    rows = build_lattice_basis(8).rows
+    calls = []
+    to_rows = oracle._as_int_rows
+    monkeypatch.setattr(oracle, "_as_int_rows", lambda m: calls.append(m) or to_rows(m))
+    assert exact_rank(rows) == expected_row_count(8)
+    assert not calls
+    # a repeated trailing column sends the array through the elimination
+    assert exact_rank(np.array([[1, 1], [0, 1], [1, 0]], dtype=np.int8)) == 2
+    assert len(calls) == 1
+    # and lists take the old path, Fractions included
+    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]) == 1
+    assert len(calls) == 2
+
+
+def test_rank_edge_arrays():
+    assert exact_rank(np.zeros((0, 4), dtype=np.int64)) == 0
+    assert exact_rank(np.zeros((3, 0), dtype=np.int64)) == 0
+    assert exact_rank(np.zeros((2, 3), dtype=np.int16)) == 0
+    for bad in (np.array([[0.0, 1.0]]), np.array([[True, False]]), np.zeros((0, 2))):
+        with pytest.raises(ValueError):
+            exact_rank(bad)
