@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import MAX_LEAVES, Binomial, Monomial, Word, in_kernel
+from .core import MAX_LEAVES, Binomial, Monomial, Word, _lead_key, in_kernel
 from .groebner import BinomialReducer, GroebnerCertificate, verify_groebner
 from .ideal import Rows, build_generators, generator_count
 from .lattice import (
@@ -80,7 +80,7 @@ def binomial_from_dict(data: dict) -> Binomial:
 
 
 def sorted_group(group: Iterable[Binomial]) -> list[Binomial]:
-    return sorted(group, key=lambda b: (b.plus.key, b.minus.key))
+    return sorted(group, key=_lead_key)
 
 
 def matrix_to_csv(matrix: IncidenceMatrix) -> str:
@@ -155,9 +155,9 @@ def _render_matrix(config: RunConfig) -> str:
 
 def _render_lattice(config: RunConfig) -> str:
     basis = build_lattice_basis(config.n, cap=config.cap)
-    binomials = lattice_binomials(basis)
     if config.format == "csv":
         return lattice_to_csv(basis)
+    binomials = lattice_binomials(basis)
     if config.format == "json":
         return _json_doc(
             {
@@ -299,7 +299,6 @@ def _run_oracle_compare(config: RunConfig) -> tuple[str, int]:
     n = config.n
     matrix = build_matrix(n, cap=config.cap)
     basis = build_lattice_basis(n, cap=config.cap)
-    gens = build_generators(n, cap=config.cap)
     formula = expected_row_count(n)
     dim = nullspace_dimension(matrix)
     rank = exact_rank(basis.rows)
@@ -313,7 +312,7 @@ def _run_oracle_compare(config: RunConfig) -> tuple[str, int]:
     ]
     enumerated: int | None = None
     if n <= 5:
-        reducer = BinomialReducer(gens.sorted_generators())
+        reducer = BinomialReducer(build_generators(n, cap=config.cap).sorted_generators())
         kernel = enumerate_quadratic_kernel(n)
         complete = sum(1 for b in kernel if reducer.in_ideal(b))
         enumerated = len(kernel)
@@ -349,6 +348,8 @@ def _run_oracle_compare(config: RunConfig) -> tuple[str, int]:
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
+    if config.command not in _FORMATS:
+        raise ValueError(f"unknown command {config.command!r}")
     if config.format not in _FORMATS[config.command]:
         raise ValueError(
             f"format {config.format!r} is not available for {config.command}"
@@ -387,10 +388,8 @@ def run(config: RunConfig) -> int:
             text = _render_ideal(config)
         elif config.command == "verify-groebner":
             text, status = _run_verify(config)
-        elif config.command == "oracle-compare":
-            text, status = _run_oracle_compare(config)
         else:
-            raise ValueError(f"unknown command {config.command!r}")
+            text, status = _run_oracle_compare(config)
         stream.write(text)
     return status
 

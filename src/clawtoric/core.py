@@ -8,6 +8,11 @@ root parameter a_s^(n+1), where s is the bit sum of w mod 2.  Everything
 downstream (incidence matrix, kernel lattice, quadratic generators) is
 phrased in terms of these words and their products.
 
+Word values become objects here only: words come from one table per length
+that fills on demand, and the quadratic rows of the generating set and of
+the lattice basis are checked as whole arrays and then built by private
+constructors that trust the check.
+
 Variable orders used throughout:
   - parameter variables: a_0^(1) > ... > a_0^(n+1) > a_1^(1) > ... > a_1^(n+1)
   - coordinates: q_w1 > q_w2 iff w1 precedes w2 in binary counting order
@@ -17,7 +22,9 @@ Variable orders used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 # Guard against accidental 2^n blowups; not a semantic limit.
 MAX_LEAVES = 16
@@ -104,17 +111,23 @@ class Word:
         return format(self.value, f"0{self.n}b")
 
 
-@lru_cache(maxsize=None)
-def _cached_word(value: int, n: int) -> Word:
-    # Interning keeps bulk construction (hundreds of thousands of generators)
-    # from allocating the same few thousand words over and over.
-    return Word(value, n)
+class _Table(dict):
+    """A dict that computes the entry for a missing key on first lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
 
 
 @lru_cache(maxsize=None)
-def _word_table(n: int) -> tuple[Word, ...]:
-    """The interned words of length n, indexed by value."""
-    return tuple(_cached_word(v, n) for v in range(1 << n))
+def _word_table(n: int) -> dict[int, Word]:
+    """The interned words of length n by value, each made on first lookup,
+    so that objects share their words and a large n costs no 2^n table."""
+    return _Table(partial(Word, n=n))
 
 
 def compare_words(w1: Word, w2: Word) -> int:
@@ -237,13 +250,22 @@ def make_binomial(m1: Monomial, m2: Monomial) -> Binomial | None:
     return Binomial(m1, m2)
 
 
+def _lead_key(b: Binomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sort key of the lead order: ascending keys put lex-greater leads first."""
+    return b.plus.key, b.minus.key
+
+
 _new = object.__new__
 _set = object.__setattr__
 
 
-def _checked_monomial(words: tuple[Word, ...], key: tuple[int, ...]) -> Monomial:
-    """A Monomial the caller has already checked: every word has one length
-    and key lists the words' values in ascending order."""
+def _checked_monomial(table: dict[int, Word], key: tuple[int, ...]) -> Monomial:
+    """The Monomial of the words in a word table under key, which the caller
+    has already checked to be nonempty and ascending."""
+    if len(key) == 2:
+        words = (table[key[0]], table[key[1]])
+    else:
+        words = tuple([table[v] for v in key])
     m = _new(Monomial)
     _set(m, "n", words[0].n)
     _set(m, "words", words)
@@ -259,6 +281,44 @@ def _checked_binomial(plus: Monomial, minus: Monomial) -> Binomial:
     _set(b, "plus", plus)
     _set(b, "minus", minus)
     return b
+
+
+def _first_row(bad: np.ndarray) -> int:
+    return int(np.flatnonzero(bad)[0])
+
+
+def _check_rows(n: int, rows: np.ndarray) -> None:
+    """Raise ValueError unless every row (plus_0, plus_1, minus_0, minus_1) of
+    word values has each side ascending and plus the lex-greater side."""
+    if not len(rows):
+        return
+    outside = ((rows < 0) | (rows >= 1 << n)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"row {_first_row(outside)}: word value out of range for {n} bits")
+    a, b, c, d = rows.T
+    unsorted = (a > b) | (c > d)
+    if unsorted.any():
+        raise ValueError(f"row {_first_row(unsorted)}: a side is not in ascending word order")
+    equal = (a == c) & (b == d)
+    if equal.any():
+        raise ValueError(f"row {_first_row(equal)}: the two sides are equal")
+    reversed_ = (a > c) | ((a == c) & (b > d))
+    if reversed_.any():
+        raise ValueError(f"row {_first_row(reversed_)}: plus is not the lex-greater side")
+
+
+def _binomials(n: int, rows: np.ndarray) -> tuple[Binomial, ...]:
+    """One Binomial per (N, 4) row, in row order; one check of the whole
+    array stands in for the per-object checks."""
+    _check_rows(n, rows)
+    words = _word_table(n)
+    # minus sides repeat (G_9: 16 981 distinct among 102 315), so each is built once
+    minus, which = np.unique(rows[:, 2:], axis=0, return_inverse=True)
+    sides = [_checked_monomial(words, (c, d)) for c, d in minus.tolist()]
+    return tuple(
+        _checked_binomial(_checked_monomial(words, (a, b)), sides[k])
+        for (a, b), k in zip(rows[:, :2].tolist(), which.ravel().tolist())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +342,26 @@ def param_image_monomial(m: Monomial) -> tuple[ParamVariable, ...]:
 
 
 @lru_cache(maxsize=None)
-def _image_table(n: int, width: int) -> tuple[int, ...]:
-    # One int per word value: the word's bit at each leaf in its own lane of
-    # `width` bits, and its root parity in the lane above them.  Summing the
-    # entries of a monomial of degree < 2^width counts, per lane, how many
-    # factors map to a_1 there; the a_0 counts follow from the degree.
-    spread = [0] * (1 << n)
-    for v in range(1, 1 << n):
-        spread[v] = (spread[v >> 1] << width) | (v & 1)
+def _image_table(n: int, width: int) -> dict[int, int]:
+    # One int per word value, made on first lookup: its bit at each leaf in
+    # a lane of `width` bits and its root parity in the lane above.  Summed
+    # over a monomial of degree < 2^width, the lanes count the factors that
+    # map to a_1 there; the a_0 counts follow from the degree.
     root = n * width
-    return tuple(s | ((v.bit_count() & 1) << root) for v, s in enumerate(spread))
+
+    def lanes(v: int) -> int:
+        spread = sum(((v >> k) & 1) << (k * width) for k in range(n))
+        return spread | ((v.bit_count() & 1) << root)
+
+    return _Table(lanes)
 
 
 def in_kernel(b: Binomial) -> bool:
     """True iff both sides have the same parameter multiset."""
     plus, minus = b.plus.key, b.minus.key
-    if len(plus) == 2:
-        table = _image_table(b.plus.n, 2)
-        return table[plus[0]] + table[plus[1]] == table[minus[0]] + table[minus[1]]
     table = _image_table(b.plus.n, len(plus).bit_length())
+    if len(plus) == 2:
+        return table[plus[0]] + table[plus[1]] == table[minus[0]] + table[minus[1]]
     return sum([table[v] for v in plus]) == sum([table[v] for v in minus])
 
 
@@ -315,7 +376,6 @@ def project(b: Binomial, position: int) -> Binomial | None:
     # v without its bit at the position, as _delete_bit does
     low = (1 << (n - position)) - 1
     high = ~low
-    words = _word_table(n - 1)
     if len(plus) == 2:  # the quadratic case, four ints
         a, c = plus
         d, e = minus
@@ -323,21 +383,12 @@ def project(b: Binomial, position: int) -> Binomial | None:
         d, e = ((d >> 1) & high) | (d & low), ((e >> 1) & high) | (e & low)
         plus = (a, c) if a <= c else (c, a)
         minus = (d, e) if d <= e else (e, d)
-        if plus == minus:
-            return None
-        if plus > minus:
-            plus, minus = minus, plus
-        return _checked_binomial(
-            _checked_monomial((words[plus[0]], words[plus[1]]), plus),
-            _checked_monomial((words[minus[0]], words[minus[1]]), minus),
-        )
-    plus = tuple(sorted([((v >> 1) & high) | (v & low) for v in plus]))
-    minus = tuple(sorted([((v >> 1) & high) | (v & low) for v in minus]))
+    else:
+        plus = tuple(sorted([((v >> 1) & high) | (v & low) for v in plus]))
+        minus = tuple(sorted([((v >> 1) & high) | (v & low) for v in minus]))
     if plus == minus:
         return None
     if plus > minus:
         plus, minus = minus, plus
-    return _checked_binomial(
-        _checked_monomial(tuple([words[v] for v in plus]), plus),
-        _checked_monomial(tuple([words[v] for v in minus]), minus),
-    )
+    words = _word_table(n - 1)
+    return _checked_binomial(_checked_monomial(words, plus), _checked_monomial(words, minus))

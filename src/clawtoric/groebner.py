@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Binomial, Monomial, _cached_word, make_binomial
+from .core import Binomial, Monomial, _lead_key, _word_table, make_binomial
 
 Key = tuple[int, ...]
 
@@ -26,7 +26,8 @@ def leading_monomial(b: Binomial) -> Monomial:
 
 
 def _monomial_from_key(n: int, key: Key) -> Monomial:
-    return Monomial(n, tuple(_cached_word(v, n) for v in key))
+    words = _word_table(n)
+    return Monomial(n, tuple([words[v] for v in key]))
 
 
 def _multiset_lcm(a: Key, b: Key) -> Key:
@@ -98,7 +99,7 @@ class BinomialReducer:
     """
 
     def __init__(self, basis: Iterable[Binomial]):
-        elements = sorted(basis, key=lambda b: (b.plus.key, b.minus.key))
+        elements = sorted(basis, key=_lead_key)
         lengths = {b.n for b in elements}
         if len(lengths) > 1:
             raise ValueError(f"mixed word lengths in basis: {sorted(lengths)}")

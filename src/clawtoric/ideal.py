@@ -24,13 +24,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import MAX_LEAVES, Binomial, _checked_binomial, _checked_monomial, _word_table
+from .core import MAX_LEAVES, Binomial, _binomials
 
-# A quadratic generator is the row (plus_0, plus_1, minus_0, minus_1) of word
-# values, each side in ascending value order and plus the lex-greater side,
-# so that (plus_0, plus_1) < (minus_0, minus_1).  A group is an (N, 4) int64
-# array of distinct rows in ascending row order, which is the lead order
-# (plus.key, minus.key).  A column holds words of up to 62 bits.
+# A group is an (N, 4) int64 array of distinct canonical rows (core._check_rows)
+# in ascending row order, which is the lead order (plus.key, minus.key).  A
+# column holds words of up to 62 bits.
 Rows = np.ndarray
 
 
@@ -40,42 +38,6 @@ def _sorted_unique_rows(rows: Rows) -> Rows:
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
-
-
-def _first_row(bad: np.ndarray) -> int:
-    return int(np.flatnonzero(bad)[0])
-
-
-def _check_rows(n: int, rows: Rows) -> None:
-    """Raise ValueError unless every row is a canonical quadratic binomial."""
-    if not len(rows):
-        return
-    outside = ((rows < 0) | (rows >= 1 << n)).any(axis=1)
-    if outside.any():
-        raise ValueError(f"row {_first_row(outside)}: word value out of range for {n} bits")
-    a, b, c, d = rows.T
-    unsorted = (a > b) | (c > d)
-    if unsorted.any():
-        raise ValueError(f"row {_first_row(unsorted)}: a side is not in ascending word order")
-    equal = (a == c) & (b == d)
-    if equal.any():
-        raise ValueError(f"row {_first_row(equal)}: the two sides are equal")
-    reversed_ = (a > c) | ((a == c) & (b > d))
-    if reversed_.any():
-        raise ValueError(f"row {_first_row(reversed_)}: plus is not the lex-greater side")
-
-
-def _binomials(n: int, rows: Rows) -> tuple[Binomial, ...]:
-    # one check of the whole array stands in for the per-object checks
-    _check_rows(n, rows)
-    words = _word_table(n)
-    # minus sides repeat (G_9: 16 981 distinct among 102 315), so each is built once
-    minus, which = np.unique(rows[:, 2:], axis=0, return_inverse=True)
-    sides = [_checked_monomial((words[c], words[d]), (c, d)) for c, d in minus.tolist()]
-    return tuple(
-        _checked_binomial(_checked_monomial((words[a], words[b]), (a, b)), sides[k])
-        for (a, b), k in zip(rows[:, :2].tolist(), which.ravel().tolist())
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,10 @@ showing 0 at each later leaf, and one closing vector right-aligned in the
 last eight columns tops the row count up to 2^n - n - 2, the kernel
 dimension.  Every constructed row is checked against the incidence matrix;
 construction aborts on the first row that fails membership.
+
+The rows become binomials through the same checked edge as the generating
+set: the two +1 and two -1 columns of every row are read at once, and the
+objects are made by core's trusting constructors from the shared word table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_LEAVES, Binomial, Monomial, Word, _cached_word
+from .core import MAX_LEAVES, Binomial, Word, _binomials, _first_row, _word_table
 from .matrix import build_matrix
 
 
@@ -111,23 +115,22 @@ def build_lattice_basis(n: int, cap: int = MAX_LEAVES) -> LatticeBasis:
     """Kernel lattice basis for n leaves, n >= 3."""
     if not 3 <= n <= cap:
         raise ValueError(f"n must be in 3..{cap}, got {n}")
-    rows = _build(n)
-    return LatticeBasis(n, rows, tuple(Word(v, n) for v in range(1 << n)))
+    words = _word_table(n)
+    return LatticeBasis(n, _build(n), tuple([words[v] for v in range(1 << n)]))
 
 
 def lattice_binomials(basis: LatticeBasis) -> tuple[Binomial, ...]:
     """One quadratic binomial per row: +1 columns minus -1 columns."""
-    n = basis.n
-    out: list[Binomial] = []
-    for r, row in enumerate(basis.rows):
-        plus = [int(c) for c in np.nonzero(row == 1)[0]]
-        minus = [int(c) for c in np.nonzero(row == -1)[0]]
-        if len(plus) != 2 or len(minus) != 2 or np.abs(row).sum() != 4:
-            raise ValueError(f"row {r + 1} is not a two-plus/two-minus vector")
-        out.append(
-            Binomial(
-                Monomial(n, tuple(_cached_word(v, n) for v in plus)),
-                Monomial(n, tuple(_cached_word(v, n) for v in minus)),
-            )
-        )
-    return tuple(out)
+    # one walk over the nonzeros, row by row, so each row's columns ascend
+    r, c = np.nonzero(basis.rows)
+    value, count = basis.rows[r, c], len(basis.rows)
+    bad = np.bincount(r, minlength=count) != 4
+    for sign in (1, -1):
+        bad |= np.bincount(r[value == sign], minlength=count) != 2
+    if bad.any():
+        raise ValueError(f"row {_first_row(bad) + 1} is not a two-plus/two-minus vector")
+    c, value = c.reshape(-1, 4), value.reshape(-1, 4)
+    # the side that holds a row's smallest column is the lex-greater one
+    lead = value == value[:, :1]
+    rows = np.concatenate([c[lead].reshape(-1, 2), c[~lead].reshape(-1, 2)], axis=1)
+    return _binomials(basis.n, rows)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_LEAVES, ParamVariable, Word
+from .core import MAX_LEAVES, ParamVariable, Word, _word_table
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -47,8 +47,8 @@ class IncidenceMatrix:
 
 def _labels(n: int) -> tuple[tuple[ParamVariable, ...], tuple[Word, ...]]:
     rows = tuple(ParamVariable(g, i) for g in (0, 1) for i in range(1, n + 2))
-    cols = tuple(Word(v, n) for v in range(1 << n))
-    return rows, cols
+    words = _word_table(n)
+    return rows, tuple([words[v] for v in range(1 << n)])
 
 
 def _check_n(n: int, cap: int, smallest: int) -> None:

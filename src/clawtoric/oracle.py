@@ -20,16 +20,8 @@ from .core import Binomial, Monomial, Word, param_image_monomial
 from .matrix import IncidenceMatrix
 
 
-def _check_integer_dtype(matrix: np.ndarray) -> None:
-    if not np.issubdtype(matrix.dtype, np.integer):
-        raise ValueError(f"expected integer entries, got dtype {matrix.dtype}")
-
-
 def _as_int_rows(matrix) -> list[list[int]]:
-    if isinstance(matrix, IncidenceMatrix):
-        matrix = matrix.entries
-    if isinstance(matrix, np.ndarray):
-        _check_integer_dtype(matrix)
+    if isinstance(matrix, np.ndarray):  # of a checked integer dtype
         return matrix.tolist()
     rows: list[list[int]] = []
     for row in matrix:
@@ -49,28 +41,16 @@ def _as_int_rows(matrix) -> list[list[int]]:
     return rows
 
 
-def _trailing_echelon_rank(rows: list[list[int]] | np.ndarray) -> int | None:
+def _trailing_echelon_rank(rows: np.ndarray) -> int | None:
     # If every row is nonzero and the trailing-nonzero columns are pairwise
     # distinct, the rows are independent (look at the largest such column in
     # any vanishing combination), so the rank is the row count.  Exact, and
     # O(nonzeros); this is what makes the big lattice bases checkable.
-    if isinstance(rows, np.ndarray):
-        nonzero = rows != 0
-        if not nonzero.any(axis=1).all():
-            return None
-        last = rows.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-        return len(rows) if np.unique(last).size == len(rows) else None
-    seen: set[int] = set()
-    for row in rows:
-        last = None
-        for c in range(len(row) - 1, -1, -1):
-            if row[c] != 0:
-                last = c
-                break
-        if last is None or last in seen:
-            return None
-        seen.add(last)
-    return len(rows)
+    nonzero = rows != 0
+    if not nonzero.any(axis=1).all():
+        return None
+    last = rows.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return len(rows) if np.unique(last).size == len(rows) else None
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -105,28 +85,29 @@ def exact_rank(matrix) -> int:
     """Rank over the rationals, exactly."""
     if isinstance(matrix, IncidenceMatrix):
         matrix = matrix.entries
-    if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
-        # the trailing test runs on the array; only elimination needs Python ints
-        _check_integer_dtype(matrix)
-        if not matrix.size:
-            return 0
-        fast = _trailing_echelon_rank(matrix)
-        return fast if fast is not None else _bareiss_rank(_as_int_rows(matrix))
-    rows = _as_int_rows(matrix)
-    if not rows or not rows[0]:
+    if isinstance(matrix, np.ndarray):
+        if not np.issubdtype(matrix.dtype, np.integer):
+            raise ValueError(f"expected integer entries, got dtype {matrix.dtype}")
+        rows = None
+    else:
+        # cleared of Fractions once; the trailing test reads the rows as an array
+        rows = _as_int_rows(matrix)
+        matrix = np.array(rows, dtype=object)
+    if not matrix.size:
         return 0
-    fast = _trailing_echelon_rank(rows)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a matrix, got an array of shape {matrix.shape}")
+    fast = _trailing_echelon_rank(matrix)
     if fast is not None:
         return fast
-    return _bareiss_rank(rows)
+    return _bareiss_rank(_as_int_rows(matrix) if rows is None else rows)
 
 
 def nullspace_dimension(matrix) -> int:
     """Dimension of the rational kernel: columns minus rank."""
-    rows = _as_int_rows(matrix)
-    if not rows:
-        return 0
-    return len(rows[0]) - exact_rank(rows)
+    if isinstance(matrix, IncidenceMatrix):
+        matrix = matrix.entries
+    return len(matrix[0]) - exact_rank(matrix) if len(matrix) else 0
 
 
 def kernel_fibers(n: int) -> dict[tuple, list[Monomial]]:

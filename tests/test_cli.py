@@ -341,6 +341,64 @@ def test_oracle_compare_skips_enumeration_for_large_n(capsys):
     assert "degree-2 enumeration: skipped (n > 5)" in out
 
 
+# sha256 of `clawtoric oracle-compare --n N --format F`
+ORACLE_COMPARE_SHA256 = {
+    (3, "plain"): "4a57bb06032aad0140de067aa39d4c11493f747a94e4fe4553ddbcaf3758928c",
+    (3, "json"): "4ec5a17d52e497cd4dc17b6335bd74fbce19a176bcb938d14b2b691ea22d5948",
+    (4, "plain"): "a917cc25651e7bd52c80d132b0dad127c658304784205d6b882c18ff35c562b9",
+    (4, "json"): "70c13bbaefff9611974a8986acdad771a8103f03b42eed9cbafde03f14cf9e2b",
+    (5, "plain"): "384995c6c62cef53f9c2358a2eef6f2bb6bf0720a60339563848b0d6963f872e",
+    (5, "json"): "7852d39102a85577569247cf1eb58a44af1b4b79b2ea5a99e5f3e398e1fb5423",
+    (6, "plain"): "4493bdbeab5885ede8183580e89e01f6e308d49cdf3b9d6a291dfe7cd2d55840",
+    (6, "json"): "ce3e0e6cfc156c7dcc619eae51dedf9fb40008a757990ee4216e46f756727e1b",
+    (7, "plain"): "6002b9d4bc2e265c6ca6e952926007402fa4e880949f5833e3f7d51c5795ced2",
+    (7, "json"): "b166dd1d7aa7dc2a4d8498921d86faedc55e522032e1b94283f9693e9724c73b",
+    (8, "plain"): "f3480557c495b6d8f22a03b4b6683b188a4b5b1480e6fb05092afc5a08e8ca18",
+    (8, "json"): "cce4376e01d352dfabd8df54a5cd375215d945a4c882ecf84603d7e4512d7dc6",
+    (9, "plain"): "312d408a8d280c7646fff349947f6123f5d15fffebe7f99d40e1bdbd74405e51",
+    (9, "json"): "1ab1792f349724b2246cd6258e2db506a7f40d4f3d24b759614cff3a48bb8940",
+    (10, "plain"): "ff0c9199f031d11bebd215fcee99bf1c7707eddbfdc1fedb50e80cd7c520718c",
+    (10, "json"): "0cee825c63b25b4339fb05c6d66f9c04fc6bd19edad1fd2c3add55f3adc2dd57",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(ORACLE_COMPARE_SHA256))
+def test_oracle_compare_output_bytes(capsys, monkeypatch, n, fmt):
+    if n > 5:
+        # past the degree-2 enumeration the generating set is never needed
+        monkeypatch.setattr(cli, "build_generators", refuse_to_run)
+    code, out, _ = run_cli(capsys, "oracle-compare", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORACLE_COMPARE_SHA256[n, fmt]
+
+
+# sha256 of `clawtoric lattice --n N --format F`
+LATTICE_SHA256 = {
+    (3, "plain"): "6dc4037049831d500dec132132f48249960de643f10130338e04e14d5ff84ec0",
+    (3, "csv"): "02b6403cab8deb3121f1cee5b4d54a6c4b0627ffeba02d90f12de0e3fdb9a913",
+    (3, "json"): "122e4d74c0e926a45628202da410a8848995ee247ff6b1cd9f5c9edbf2f7633e",
+    (3, "cas-script"): "23c4f531b9ba7f0aebfa8f45e641ff003976937aa44f97e5d29f57d175beeb99",
+    (6, "plain"): "c67677a9188d3c3874e96a7c3e4edd474a13e7ad260c1064938823fdb7e54907",
+    (6, "csv"): "4761e5af2672594dca49a991fa8de47f54603f89f1f9aeb4f8e429899c57f6a2",
+    (6, "json"): "c88e51dd4d64596ebe96c491652da33c237069c524baaffc1ef4d25842586bb9",
+    (6, "cas-script"): "7fc0680dca04e5f182c5925164089975d2cc877b29135deb86084d900f066326",
+    (7, "plain"): "8ee22d6e6762d54dbface24b812ff6c069a0eef1eaa3c6053e859186831b4d57",
+    (7, "csv"): "36625fccc1d198d93ab02db12b1f5d932ed0f58cc659f42d2a9ea134dad6a13f",
+    (7, "json"): "cc832ee3b6ec47b42b2ea52fbbae972828a033225e2b7262fd5081dc80a5f8ad",
+    (7, "cas-script"): "0f7c308ad44ffee811ecd787c2546227d1b1f136b1163b47dea9a175c71badb4",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(LATTICE_SHA256))
+def test_lattice_output_bytes(capsys, monkeypatch, n, fmt):
+    if fmt == "csv":
+        # the csv lists the rows only
+        monkeypatch.setattr(cli, "lattice_binomials", refuse_to_run)
+    code, out, _ = run_cli(capsys, "lattice", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LATTICE_SHA256[n, fmt]
+
+
 # ---------------------------------------------------------------------------
 # determinism and file output
 # ---------------------------------------------------------------------------
@@ -421,6 +479,14 @@ def test_no_command_is_a_usage_error(capsys):
 
 def test_unknown_command_is_a_usage_error(capsys):
     assert run_cli(capsys, "frobnicate", "--n", "3")[0] == 2
+
+
+def test_run_refuses_an_unknown_command_before_any_output(tmp_path):
+    target = tmp_path / "never.txt"
+    for config in (RunConfig("bogus", 4), RunConfig("bogus", 4, out=str(target))):
+        with pytest.raises(ValueError, match="^unknown command 'bogus'$"):
+            run(config)
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(

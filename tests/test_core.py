@@ -400,3 +400,106 @@ def test_monomial_key_is_stored_but_not_compared_or_shown():
     assert hash(m) == hash(Monomial(3, (w("011"), w("111"), w("000"))))
     with pytest.raises(TypeError):
         Monomial(3, (w("000"),), key=(0,))
+
+
+# ---------------------------------------------------------------------------
+# one word table, filled on demand
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_every_construction_hands_out_the_same_word_objects(n):
+    from clawtoric.ideal import build_generators
+    from clawtoric.lattice import build_lattice_basis, lattice_binomials
+    from clawtoric.matrix import build_matrix
+
+    words = build_matrix(n).col_labels
+    basis = build_lattice_basis(n)
+    assert all(a is b for a, b in zip(basis.col_labels, words, strict=True))
+    for b in build_generators(n).sorted_generators() + lattice_binomials(basis):
+        for word in b.plus.words + b.minus.words:
+            assert word is words[word.value]
+
+
+def test_one_binomial_at_twenty_leaves_fills_only_its_own_words():
+    from clawtoric import core
+
+    n = 20
+    b = Binomial(
+        Monomial(n, (Word(0, n), Word(7, n))), Monomial(n, (Word(3, n), Word(4, n)))
+    )
+    assert in_kernel(b)
+    shadow = project(b, 1)
+    assert shadow == reference_projection(b, 1)
+    assert set(core._image_table(n, 2)) <= {0, 3, 4, 7}
+    assert set(core._word_table(n - 1)) <= {0, 3, 4, 7}
+
+
+def reference_s_polynomial(b1: Binomial, b2: Binomial) -> Binomial | None:
+    """trail_1 * lcm/lead_1 - trail_2 * lcm/lead_2, word by word."""
+    lead1, lead2 = Counter(b1.plus.words), Counter(b2.plus.words)
+    lcm = lead1 | lead2
+    side1 = Counter(b1.minus.words) + (lcm - lead1)
+    side2 = Counter(b2.minus.words) + (lcm - lead2)
+    return make_binomial(
+        Monomial(b1.n, tuple(side1.elements())), Monomial(b1.n, tuple(side2.elements()))
+    )
+
+
+def reference_normal_form(b: Binomial, basis: list[Binomial]) -> Binomial | None:
+    """Rewrite the lead by the first basis element in lead order that divides it."""
+    ordered = sorted(basis, key=lambda g: (g.plus.key, g.minus.key))
+    current: Binomial | None = b
+    while current is not None:
+        lead = Counter(current.plus.words)
+        divisor = next(
+            (g for g in ordered if not Counter(g.plus.words) - lead), None
+        )
+        if divisor is None:
+            return current
+        rest = lead - Counter(divisor.plus.words)
+        replaced = Monomial(b.n, divisor.minus.words + tuple(rest.elements()))
+        current = make_binomial(replaced, current.minus)
+    return None
+
+
+def test_forty_leaves_answer_as_the_word_by_word_references():
+    from clawtoric.groebner import normal_form, s_polynomial
+    from clawtoric.ideal import build_generators
+
+    n = 40
+    rng = random.Random(40)
+    prefix = rng.getrandbits(n - 4) << 4
+    # G_4 with the same 36 leaves fixed in front of every word
+    basis = [
+        Binomial(
+            Monomial(n, tuple(Word(prefix | x.value, n) for x in g.plus.words)),
+            Monomial(n, tuple(Word(prefix | x.value, n) for x in g.minus.words)),
+        )
+        for g in build_generators(4).sorted_generators()
+    ]
+    pool = sorted({x for g in basis for x in g.plus.words + g.minus.words}, key=lambda x: x.value)
+    queries: list[Binomial] = []
+    while len(queries) < 200:
+        degree = 2 + len(queries) % 2
+        picks = pool if len(queries) % 4 < 2 else [Word(rng.getrandbits(n), n) for _ in range(8)]
+        b = make_binomial(
+            Monomial(n, tuple(rng.choices(picks, k=degree))),
+            Monomial(n, tuple(rng.choices(picks, k=degree))),
+        )
+        if b is not None:
+            queries.append(b)
+    kernel = zero = 0
+    for b in basis + queries:
+        want = param_image_monomial(b.plus) == param_image_monomial(b.minus)
+        assert in_kernel(b) == want
+        kernel += want
+        position = rng.randrange(1, n + 1)
+        same_object_value(project(b, position), reference_projection(b, position))
+    for b1, b2 in zip(basis + queries, rng.sample(basis + queries, len(basis + queries))):
+        assert s_polynomial(b1, b2) == reference_s_polynomial(b1, b2)
+    for b in queries:
+        want = reference_normal_form(b, basis)
+        assert normal_form(b, basis)[0] == want
+        zero += want is None
+    assert kernel > len(basis) and 0 < zero < len(queries)

@@ -8,6 +8,7 @@ import pytest
 from clawtoric import lattice
 from clawtoric.core import Binomial, Monomial, Word, in_kernel
 from clawtoric.lattice import (
+    LatticeBasis,
     build_lattice_basis,
     expected_row_count,
     lattice_binomials,
@@ -139,6 +140,35 @@ def test_binomial_word_orientation_matches_the_rows():
         Monomial.of(Word(2, 3), Word(5, 3)), Monomial.of(Word(3, 3), Word(4, 3))
     )
     assert first == expected
+
+
+def corrupt_third_plus(row):
+    row[np.flatnonzero(row == 0)[0]] = 1
+
+
+def corrupt_entry_of_two(row):
+    row[np.flatnonzero(row == 0)[0]] = 2
+
+
+def corrupt_zero_row(row):
+    row[:] = 0
+
+
+def corrupt_one_plus(row):
+    row[np.flatnonzero(row == 1)[0]] = 0
+
+
+@pytest.mark.parametrize(
+    "corrupt", [corrupt_third_plus, corrupt_entry_of_two, corrupt_zero_row, corrupt_one_plus]
+)
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_malformed_rows_are_refused_at_the_first_bad_row(corrupt, dtype):
+    basis = build_lattice_basis(5)
+    rows = basis.rows.astype(dtype)
+    for r in (6, 2, 9):
+        corrupt(rows[r])
+    with pytest.raises(ValueError, match=r"^row 3 is not a two-plus/two-minus vector$"):
+        lattice_binomials(LatticeBasis(5, rows, basis.col_labels))
 
 
 # ---------------------------------------------------------------------------
